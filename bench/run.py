@@ -154,7 +154,10 @@ def per_layer(args, workdir: Path, env: dict, spans: Path) -> tuple[dict, dict]:
     }
     print(f"wait time: {WAIT}")
     print(f"counts repeat across traced passes: {res['counts_repeat']}")
-    details = {k: res[k] for k in ("passes", "jobs_per_pass", "plain_pass_s", "traced_pass_s",
+    print(f"probe share of an untraced pass: {res['probe_share']:.3f} "
+          f"({res['probe_jobs_per_pass']} of {res['jobs_per_pass']} jobs)")
+    details = {k: res[k] for k in ("passes", "jobs_per_pass", "probe_jobs_per_pass",
+                                   "probe_share", "plain_pass_s", "traced_pass_s",
                                    "counts_repeat", "counts", "layers", "errors")}
     details["spans_file"] = str(spans.relative_to(ROOT))
     details["wait_ms"] = WAIT

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import resource
 import statistics
 import subprocess
@@ -55,9 +54,9 @@ def timed_phase(workload, seconds: float) -> dict:
     cycles = 0
     t_start = time.monotonic()
     # A fixed number of whole cycles, so the job count, and with it the tail
-    # percentile, is the same on every run; the time cap bounds a slow run.
+    # percentile, is the same on every run however fast the machine is.
     n_cycles = max(1, round(seconds / workload.CYCLE_S))
-    while cycles < n_cycles and (cycles == 0 or time.monotonic() - t_start < 1.5 * seconds):
+    while cycles < n_cycles:
         for job in workload.cycle(cycles):
             dt, out, err = _run_job(job)
             t_check = time.perf_counter()
@@ -88,12 +87,12 @@ def timed_phase(workload, seconds: float) -> dict:
     }
 
 
-def _launch_ms(env, code: str, repeats: int = 3) -> float:
+def _launch_ms(code: str, repeats: int = 3) -> float:
     """Median wall time of ``python -c code`` in a fresh interpreter."""
     out = []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
         out.append(1e3 * (time.perf_counter() - t0))
     return statistics.median(out)
 
@@ -120,15 +119,16 @@ def _pass(jobs, tracer: tr.Tracer | None) -> dict:
     errors = [err if err is not None else _check(job, out) for job, (out, err) in zip(jobs, outs)]
     errors = [e for e in errors if e is not None]
     cli_s = [t for job, t in zip(jobs, times) if job.cli]
-    return {"wall_s": sum(times), "errors": errors, "cli_main_s": cli_s}
+    return {"wall_s": sum(times), "times": times, "errors": errors, "cli_main_s": cli_s}
 
 
-def traced_phase(workload, probe, seconds: float, env, spans_path: Path) -> dict:
-    interp_ms = _launch_ms(env, "pass")
-    import_ms = _launch_ms(env, "import curvebound.cli") - interp_ms
+def traced_phase(workload, probe, seconds: float, spans_path: Path) -> dict:
+    interp_ms = _launch_ms("pass")
+    import_ms = _launch_ms("import curvebound.cli") - interp_ms
 
     cycle = workload.in_process_cycle if workload.name == "cli-cold" else workload.cycle
     jobs = [j for i in range(workload.TRACE_CYCLES) for j in cycle(i)]
+    n_own = len(jobs)
     jobs += probe.jobs()
 
     tracer = tr.Tracer()
@@ -167,6 +167,7 @@ def traced_phase(workload, probe, seconds: float, env, spans_path: Path) -> dict
         "cli.schema_ms": self_ms.get(tr.SCHEMA_SPAN, 0.0) / n_cli,
         "trace.overhead_frac": traced_s / plain_s - 1.0,
     })
+    probe_share = statistics.median(sum(p["times"][n_own:]) / p["wall_s"] for p in plain)
     attempted = len(jobs) * (len(plain) + len(traced))
     return {
         "attempted": attempted,
@@ -174,6 +175,8 @@ def traced_phase(workload, probe, seconds: float, env, spans_path: Path) -> dict
         "errors": errors[:5],
         "passes": len(traced),
         "jobs_per_pass": len(jobs),
+        "probe_jobs_per_pass": len(jobs) - n_own,
+        "probe_share": probe_share,
         "plain_pass_s": [p["wall_s"] for p in plain],
         "traced_pass_s": [t["wall_s"] for t in traced],
         "counts_repeat": counts_repeat,
@@ -230,9 +233,7 @@ def main(argv=None) -> int:
     ap.add_argument("--spans", type=Path, default=None)
     args = ap.parse_args(argv)
 
-    env = dict(os.environ)
-    kwargs = {"env": env} if args.workload == "cli-cold" else {}
-    workload = wl.WORKLOADS[args.workload](args.seed, args.workdir, **kwargs)
+    workload = wl.WORKLOADS[args.workload](args.seed, args.workdir)
     probe = None
     try:
         warm = workload.cycle(0)[0]
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
             result = {"t_ready": t_ready}
         elif args.trace:
             probe = wl.Probe(args.workdir)
-            result = traced_phase(workload, probe, args.seconds, env, args.spans)
+            result = traced_phase(workload, probe, args.seconds, args.spans)
         else:
             result = timed_phase(workload, args.seconds)
         result["t_ready"] = t_ready

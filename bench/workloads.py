@@ -143,7 +143,8 @@ class CertifyCurved:
 
     name = "certify-curved"
     CORPUS_SEED = 106
-    POOL = TRACE_CYCLES = 12
+    POOL = 24  # one cycle per shape in a 20-second run
+    TRACE_CYCLES = 12
     CYCLE_S = 0.85
     N_SAMPLES = 1000
     KINDS = (
@@ -348,8 +349,10 @@ def _cone_check(row) -> str | None:
 
 
 class SweepBatch:
-    """The vectorized sweeps of criteria 1, 3, 4, 10 and 12, in jobs of
-    similar size; every cycle sweeps the same seed-drawn batches."""
+    """The vectorized sweeps of criteria 1, 3, 4, 10 and 12, cut into
+    ``CHUNKS`` equal-size jobs: job ``c`` of a cycle runs slice ``c`` of every
+    sweep, so every job does the same mix and amount of work.  Every cycle
+    sweeps the same seed-drawn batches."""
 
     name = "sweep-batch"
     TRIANGLES = 10**5
@@ -358,72 +361,100 @@ class SweepBatch:
     TREFOIL_DIRECTIONS = 300
     LAPLACIAN_DRAWS = 10**6
     RESIDUALS = 1000
+    CHUNKS = 7
     TRACE_CYCLES = 1
     CYCLE_S = 1.6
 
     def __init__(self, seed: int, workdir: Path):
         self.seed = seed
         rng = _rng(seed)
-        self.triangles = unit_rows(rng, (self.TRIANGLES, 3, 3))
-        self.polygons = {k: rng.standard_normal((n, k, 3)) for k, n in self.POLYGONS.items()}
-        self.knots = [cb.PolygonalCurve(EUC3, v, closed=True)
-                      for v in simple_batch(rng, self.KNOT_PENTAGONS, 5)]
+        triangles = unit_rows(rng, (self.TRIANGLES, 3, 3))
+        polygons = {k: rng.standard_normal((n, k, 3)) for k, n in self.POLYGONS.items()}
+        knots = [cb.PolygonalCurve(EUC3, v, closed=True)
+                 for v in simple_batch(rng, self.KNOT_PENTAGONS, 5)]
         self.trefoil = cb.hexagonal_trefoil()
-        self.directions = rng.standard_normal((self.TREFOIL_DIRECTIONS, 3))
+        directions = rng.standard_normal((self.TREFOIL_DIRECTIONS, 3))
         n = self.LAPLACIAN_DRAWS
-        self.lap = (rng.uniform(1e-3, 10.0, n), rng.uniform(0.0, math.pi, n), unit_rows(rng, (n, 3)))
-        self.geo = []
-        while len(self.geo) < self.RESIDUALS:
+        lap = (rng.uniform(1e-3, 10.0, n), rng.uniform(0.0, math.pi, n), unit_rows(rng, (n, 3)))
+        geo = []
+        while len(geo) < self.RESIDUALS:
             u = rng.uniform(-0.8, 0.8, 2)
             if np.linalg.norm(u) >= 0.8:
                 continue
             p = np.array([u[0], u[1], rng.uniform(-2.0, 2.0)])
             v = rng.standard_normal(3)
-            self.geo.append((p, v / cb.metric_norm(p, v), rng.uniform(-3.0, 3.0)))
-        self.jac = []
-        while len(self.jac) < self.RESIDUALS:
-            i = len(self.jac)
+            geo.append((p, v / cb.metric_norm(p, v), rng.uniform(-3.0, 3.0)))
+        jac = []
+        while len(jac) < self.RESIDUALS:
+            i = len(jac)
             c = 10.0 ** rng.uniform(-9.0, -6.5) if i % 2 else rng.uniform(0.0, 0.5)
             tangent = np.array([2.0 * c, 0.0, math.sqrt(max(0.0, 1.0 - 4.0 * c * c))])
             w = rng.standard_normal(3)
             w -= np.dot(w, tangent) * tangent
             nw = np.linalg.norm(w)
             if nw >= 1e-8:
-                self.jac.append((c, rng.uniform(0.1, 3.0), w / nw))
+                jac.append((c, rng.uniform(0.1, 3.0), w / nw))
+        knots = list(enumerate(knots))  # the index keys each pentagon's projection seed
+        self.chunks = [{
+            "triangles": triangles[_part(self.TRIANGLES, c, self.CHUNKS)],
+            "polygons": {k: v[_part(len(v), c, self.CHUNKS)] for k, v in polygons.items()},
+            "knots": knots[_part(len(knots), c, self.CHUNKS)],
+            "directions": directions[_part(len(directions), c, self.CHUNKS)],
+            "lap": tuple(a[_part(n, c, self.CHUNKS)] for a in lap),
+            "geo": geo[_part(len(geo), c, self.CHUNKS)],
+            "jac": jac[_part(len(jac), c, self.CHUNKS)],
+        } for c in range(self.CHUNKS)]
 
     def cycle(self, i: int) -> list[Job]:
-        return [
-            Job("triangles", lambda: cb.check_bound_batch(self.triangles, BoundVariant.TRIANGLE),
-                _slack_check),
-            Job("polygons5", lambda: _polygon_sweep(self.polygons[5]), _polygon_check(2)),
-            Job("polygons7", lambda: _polygon_sweep(self.polygons[7]), _polygon_check(3)),
-            Job("knot.pentagons", lambda: {cb.knot_determinant(c, rng=[self.seed, i, j])
-                                           for j, c in enumerate(self.knots)},
-                lambda dets: None if dets == {1} else f"pentagon determinants {sorted(dets)}"),
-            Job("knot.trefoil", self._trefoil,
-                lambda dets: None if dets == {3} else f"trefoil determinants {sorted(dets)}"),
-            Job("laplacian", lambda: cb.laplacian_log_rho(*self.lap), _laplacian_check),
-            Job("h2xr.residuals", self._residuals, _residual_check),
-        ]
+        return [Job("sweep.chunk", lambda part=part: self._sweep(i, part), _sweep_check)
+                for part in self.chunks]
 
-    def _trefoil(self) -> set[int]:
+    def _sweep(self, i: int, part: dict) -> dict:
+        return {
+            "triangles": cb.check_bound_batch(part["triangles"], BoundVariant.TRIANGLE),
+            "polygons": {k: _polygon_sweep(v) for k, v in part["polygons"].items()},
+            "knots": {cb.knot_determinant(c, rng=[self.seed, i, j]) for j, c in part["knots"]},
+            "trefoil": self._trefoil(part["directions"]),
+            "laplacian": cb.laplacian_log_rho(*part["lap"]),
+            "residuals": _residuals(part["geo"], part["jac"]),
+        }
+
+    def _trefoil(self, directions) -> set[int]:
         dets = set()
-        for d in self.directions:
+        for d in directions:
             try:
                 dets.add(cb.determinant(cb.project(self.trefoil, d)))
             except cb.ConstructionError:
                 continue
         return dets
 
-    def _residuals(self) -> tuple[float, float, list[float]]:
-        geo = max(cb.geodesic_ode_residual(p, v, t) for p, v, t in self.geo)
-        jac = max(cb.jacobi_ode_residual(c, t, w) for c, t, w in self.jac)
-        f, df = cb.decay_graph(amplitude=0.5, alpha=1.0)
-        gaps = [abs(cb.end_curve_ratio(f, df, r) - TWO_PI) for r in (2.0, 4.0, 8.0, 16.0)]
-        return geo, jac, gaps
-
     def close(self) -> None:
         pass
+
+
+def _part(n: int, c: int, chunks: int) -> slice:
+    """Slice ``c`` of ``chunks`` near-equal slices of ``range(n)``."""
+    return slice(n * c // chunks, n * (c + 1) // chunks)
+
+
+def _residuals(geo, jac) -> tuple[float, float, list[float]]:
+    geo_max = max(cb.geodesic_ode_residual(p, v, t) for p, v, t in geo)
+    jac_max = max(cb.jacobi_ode_residual(c, t, w) for c, t, w in jac)
+    f, df = cb.decay_graph(amplitude=0.5, alpha=1.0)
+    gaps = [abs(cb.end_curve_ratio(f, df, r) - TWO_PI) for r in (2.0, 4.0, 8.0, 16.0)]
+    return geo_max, jac_max, gaps
+
+
+def _sweep_check(out) -> str | None:
+    checks = [
+        _slack_check(out["triangles"]),
+        *(_polygon_check((k - 1) // 2)(v) for k, v in out["polygons"].items()),
+        None if out["knots"] == {1} else f"pentagon determinants {sorted(out['knots'])}",
+        None if out["trefoil"] == {3} else f"trefoil determinants {sorted(out['trefoil'])}",
+        _laplacian_check(out["laplacian"]),
+        _residual_check(out["residuals"]),
+    ]
+    return next((err for err in checks if err is not None), None)
 
 
 def _polygon_sweep(verts: np.ndarray):
@@ -480,9 +511,8 @@ class CliCold:
     TRACE_CYCLES = 2  # both inputs of every subcommand
     CYCLE_S = 9.0
 
-    def __init__(self, seed: int, workdir: Path, env: dict | None = None):
+    def __init__(self, seed: int, workdir: Path):
         self.seed = seed
-        self.env = env
         self.dir = Path(tempfile.mkdtemp(prefix="cli-cold-", dir=workdir))
         self._expected: dict[int, Any] = {}
         rng = _rng(seed)
@@ -566,7 +596,7 @@ class CliCold:
 
     def _spawn(self, argv) -> tuple[int, str, str]:
         proc = subprocess.run([sys.executable, "-m", "curvebound.cli", *argv],
-                              capture_output=True, text=True, env=self.env, timeout=120)
+                              capture_output=True, text=True, timeout=120)
         return proc.returncode, proc.stdout, proc.stderr
 
     def close(self) -> None:
@@ -674,9 +704,14 @@ class Probe:
     """A fixed set of small calls that reaches every traced layer once.
 
     Every traced pass ends with it, so each layer reports a measured time on
-    every workload; it is the same on every workload and seed.  Its CLI calls
-    are warm in-process ``main(argv)`` runs and give ``cli.main_ms``.
+    every workload; it is the same on every workload and seed.  Its calls use
+    the smallest budgets that still reach each layer, so the workload's own
+    jobs dominate a traced pass; the results file records the probe's share.
+    Its CLI calls are warm in-process ``main(argv)`` runs and give
+    ``cli.main_ms``; their check is the exit status and the report schema.
     """
+
+    BUDGETS = {"certify": "20", "h2xr-check": "5"}
 
     def __init__(self, workdir: Path):
         self.cli = CliCold(PROBE_SEED, workdir)
@@ -686,23 +721,28 @@ class Probe:
         self.lap = (rng.uniform(1e-3, 10.0, 10**4), rng.uniform(0.0, math.pi, 10**4),
                     unit_rows(rng, (10**4, 3)))
         self.blowup = cb.example_34_curve(math.pi / 8.0, samples_per_piece=128)
-        lat = self.cli.dir / "lat.json"
-        self.extra = [
-            ["mobius-vol", str(lat), "--budget", "2,40"],
-            ["extremal-search", "--k", "5", "--budget", "1,20"],
+        # the second input of every other subcommand, so a spherical curve is certified
+        self.argvs = []
+        for c, calls in enumerate(self.cli.calls):
+            argv = calls[(c + 1) % 2][0]
+            if argv[0] in self.BUDGETS:
+                argv = argv + ["--budget", self.BUDGETS[argv[0]]]
+            self.argvs.append(argv)
+        self.argvs += [
+            ["mobius-vol", str(self.cli.dir / "lat.json"), "--budget", "1,20"],
+            ["extremal-search", "--k", "5", "--budget", "1,1"],
         ]
 
     def jobs(self) -> list[Job]:
-        jobs = self.cli.in_process_cycle(1)  # the cycle that certifies a spherical curve
-        for argv in self.extra:
-            jobs.append(Job(f"cli.{argv[0]}", lambda argv=argv: run_main(argv),
-                            lambda out, cmd=argv[0]: _check_report(cmd, out, {}), cli=True))
+        jobs = [Job(f"cli.{argv[0]}", lambda argv=argv: run_main(argv),
+                    lambda out, cmd=argv[0]: _check_report(cmd, out, {}), cli=True)
+                for argv in self.argvs]
         jobs += [
             Job("probe.triangles", lambda: cb.check_bound_batch(
                 self.triangles, BoundVariant.TRIANGLE), _slack_check),
             Job("probe.polygons5", lambda: _polygon_sweep(self.polygons), _polygon_check(2)),
             Job("probe.laplacian", lambda: cb.laplacian_log_rho(*self.lap), _laplacian_check),
-            Job("probe.grid", lambda: cb.mobius_volume_grid(self.blowup, n_points=200, rng=0),
+            Job("probe.grid", lambda: cb.mobius_volume_grid(self.blowup, n_points=50, rng=0),
                 _margin_check),
         ]
         return jobs
