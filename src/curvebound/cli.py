@@ -534,9 +534,6 @@ _HANDLERS = {
     "knot-det": _cmd_knot_det,
 }
 
-_NEEDS_CURVE = {"totcurv", "bounds-check", "certify", "mobius-vol", "cone-density",
-                "hyp-density", "knot-det"}
-
 
 # ---------------------------------------------------------------------------
 # report emission

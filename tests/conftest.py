@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from curvebound import PolygonalCurve, SpaceForm, simple_mask_euclidean
+from curvebound import Kind, PolygonalCurve, SpaceForm, simple_mask_euclidean
 
 
 def random_unit(rng, n: int, dim: int) -> np.ndarray:
@@ -36,3 +36,38 @@ def euclidean_curve(vertices, closed=True) -> PolygonalCurve:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def _ambient_inner(kind, a, b):
+    # <a, a> = +1 on the unit sphere and -1 on the hyperboloid
+    prod = a * b
+    if kind is Kind.HYPERBOLIC:
+        prod[..., 0] *= -1.0
+    return np.sum(prod, axis=-1)
+
+
+def curved_frame(kind, rng, scale: float, count: int = 2):
+    """A random point x of S^3 or H^3 in canonical coords and ``count``
+    orthonormal tangent vectors at x."""
+    y = rng.standard_normal(3) * scale
+    if kind is Kind.SPHERE:
+        x = np.concatenate([[1.0], y])
+        x /= np.linalg.norm(x)
+    else:
+        x = np.concatenate([[np.sqrt(1.0 + y @ y)], y])
+    curv = _ambient_inner(kind, x, x)
+    frame = []
+    for _ in range(count):
+        w = rng.standard_normal(4)
+        w = w - _ambient_inner(kind, w, x) / curv * x
+        for e in frame:
+            w = w - _ambient_inner(kind, w, e) * e
+        frame.append(w / np.sqrt(_ambient_inner(kind, w, w)))
+    return x, frame
+
+
+def exp_can(kind, x, v, s):
+    """The point at distance s from x along the unit tangent v, canonical coords."""
+    if kind is Kind.SPHERE:
+        return np.cos(s) * x + np.sin(s) * v
+    return np.cosh(s) * x + np.sinh(s) * v

@@ -8,6 +8,7 @@ from curvebound import (
     CertVerdict,
     DensityCase,
     GeometryError,
+    Model,
     OnCurveError,
     PolygonalCurve,
     SpaceForm,
@@ -15,15 +16,18 @@ from curvebound import (
     cone_angle,
     cone_angle_sampled,
     density_report,
+    geodesic_point,
     hexagonal_trefoil,
     hull_sample,
     min_enclosing_ball,
     on_curve_bound,
     random_isometry,
+    unembed,
     validate,
 )
+from curvebound import cone
 
-from conftest import euclidean_curve, random_simple_polygons
+from conftest import curved_frame, euclidean_curve, exp_can, random_simple_polygons
 
 DUAL_ROUTE_TOL = 1e-6
 
@@ -189,6 +193,22 @@ def test_density_report_interior_point_of_convex_curve():
     assert rep.passed
 
 
+@pytest.mark.parametrize("space", [SpaceForm.hyperbolic(3), SpaceForm.sphere(3)],
+                         ids=["H3", "S3"])
+def test_on_curve_threshold_at_tiny_offsets(space):
+    # a convex pentagon in the totally geodesic plane exp_x(span(t1, t2)) whose
+    # edge 0 passes through x; the apex leaves x along the normal t3, so its
+    # distance to the curve is the offset itself
+    kind = space.kind
+    x, (t1, t2, t3) = curved_frame(kind, np.random.default_rng(33), 0.3, count=3)
+    verts = [exp_can(kind, x, np.cos(phi) * t1 + np.sin(phi) * t2, r)
+             for phi, r in ((np.pi, 0.3), (0.0, 0.3), (0.8, 0.4), (1.6, 0.4), (2.4, 0.4))]
+    curve = PolygonalCurve(space, unembed(space, np.array(verts)))
+    for offset, case in ((0.5e-8, DensityCase.ON_EDGE), (2e-8, DensityCase.OFF_CURVE)):
+        rep = density_report(space, unembed(space, exp_can(kind, x, t3, offset)), curve)
+        assert rep.case is case
+
+
 # ---------------------------------------------------------------------------
 # hull sampling
 # ---------------------------------------------------------------------------
@@ -305,3 +325,25 @@ def test_certify_rejects_bad_curves():
     chain = euclidean_curve([[0, 0, 0], [1, 0, 0], [1, 1, 0]], closed=False)
     with pytest.raises(GeometryError):
         certify_embedded(SpaceForm.euclidean(3), chain, n_samples=10)
+
+
+@pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.hyperbolic(3),
+                                   SpaceForm.sphere(3, Model.STEREO_BALL)],
+                         ids=["E3", "H3", "S3"])
+def test_certify_matches_per_sample_loop(space, monkeypatch, rng):
+    """The batched pass against the loop it replaced: density_report at every
+    sample, worst = first of least margin.  Two samples sit on the curve."""
+    curve = PolygonalCurve(space, 0.15 * random_simple_polygons(rng, 1)[0])
+    samples = hull_sample(space, curve.vertices, 300, rng=4)
+    on_curve = [curve.vertices[1], geodesic_point(space, curve.vertices[2],
+                                                  curve.vertices[3], 0.3).coords]
+    samples = np.concatenate([samples[:100], on_curve, samples[100:]])
+    monkeypatch.setattr(cone, "hull_sample", lambda *args, **kwargs: samples)
+    cert = certify_embedded(space, curve, n_samples=len(samples))
+
+    reports = [density_report(space, s, curve) for s in samples]
+    assert [r.case for r in reports].count(DensityCase.OFF_CURVE) == len(samples) - 2
+    worst = min(reports, key=lambda r: r.margin)
+    assert cert.worst.as_dict() == worst.as_dict()
+    passed = all(r.passed for r in reports)
+    assert cert.verdict is (CertVerdict.CERTIFIED if passed else CertVerdict.INCONCLUSIVE)

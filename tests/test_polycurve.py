@@ -5,6 +5,7 @@ import pytest
 
 from curvebound import (
     GeometryError,
+    Model,
     Point,
     PolygonalCurve,
     SpaceForm,
@@ -13,6 +14,7 @@ from curvebound import (
     indicatrix_length_batch,
     point_curve_distance,
     point_segment_distance,
+    random_isometry,
     segment_pair_distance,
     simple_mask_euclidean,
     spherical_length,
@@ -20,10 +22,12 @@ from curvebound import (
     total_curvature,
     total_curvature_batch,
     turning_angles,
+    unembed,
     validate,
 )
+from curvebound.polycurve import SIMPLE_TOL
 
-from conftest import euclidean_curve, random_simple_polygons
+from conftest import curved_frame, euclidean_curve, exp_can, random_simple_polygons
 
 EXACT = 1e-12
 LOOSE = 1e-9
@@ -128,6 +132,81 @@ def test_point_curve_distance():
     sq = euclidean_curve([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
     d = point_curve_distance(sq.space, np.array([0.0, 0.0, 0.0]), sq)
     assert abs(d - np.sqrt(0.5)) < EXACT
+
+
+# ---------------------------------------------------------------------------
+# curved distances: crossings, isoclinic arcs, tiny offsets
+# ---------------------------------------------------------------------------
+
+CURVED_SPACES = [SpaceForm.hyperbolic(3), SpaceForm.sphere(3)]
+
+
+def crossing_ends(kind, rng, alpha):
+    """Endpoints of two segments that cross at an interior point at angle alpha."""
+    x, (t1, t2) = curved_frame(kind, rng, 0.5)
+    e2 = np.cos(alpha) * t1 + np.sin(alpha) * t2
+    a, b, c, d = rng.uniform(0.05, 0.6, 4)
+    return (exp_can(kind, x, t1, -a), exp_can(kind, x, t1, b),
+            exp_can(kind, x, e2, -c), exp_can(kind, x, e2, d))
+
+
+@pytest.mark.parametrize("space", CURVED_SPACES, ids=["H3", "S3"])
+@pytest.mark.parametrize("alpha", [1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3])
+def test_crossing_segments_have_zero_distance(space, alpha):
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        ends = crossing_ends(space.kind, rng, alpha)
+        d = segment_pair_distance(space, *(unembed(space, e) for e in ends))
+        assert d < SIMPLE_TOL
+
+
+@pytest.mark.parametrize("space", CURVED_SPACES, ids=["H3", "S3"])
+def test_validate_rejects_curved_bowtie(space):
+    # segments 0 and 2 cross at x at angle 0.2; vertex 4 leaves the plane
+    rng = np.random.default_rng(6)
+    for _ in range(4):
+        x, (t1, t2, t3) = curved_frame(space.kind, rng, 0.4, count=3)
+        e2 = np.cos(0.2) * t1 + np.sin(0.2) * t2
+        a, b, c, d, r = rng.uniform(0.2, 0.5, 5)
+        verts = [exp_can(space.kind, x, t1, -a), exp_can(space.kind, x, t1, b),
+                 exp_can(space.kind, x, e2, -c), exp_can(space.kind, x, e2, d),
+                 exp_can(space.kind, x, t3, r)]
+        rep = validate(PolygonalCurve(space, unembed(space, np.array(verts))))
+        assert not rep.simple
+        assert any(v.startswith("segments 0 and 2 intersect") for v in rep.violations)
+
+
+def test_hopf_fibre_arcs_keep_constant_distance():
+    # Hopf fibres e^{i theta} q of S^3 in C^2 = R^4 stay arccos|<q1, q2>_C| apart;
+    # the arcs' planes are isoclinic, so G has two equal singular values
+    space = SpaceForm.sphere(3)
+    delta = 0.37
+
+    def fibre(q, theta):
+        z = np.exp(1j * theta) * q
+        return np.array([z[0].real, z[0].imag, z[1].real, z[1].imag])
+
+    q1 = np.array([1.0, 0.0])
+    q2 = np.array([np.cos(delta), np.sin(delta)])
+    iso = random_isometry(space, rng=3)
+    for lo, hi, want in ((0.4, 1.6, delta),
+                         (1.5, 2.5, np.arccos(np.cos(delta) * np.cos(0.5)))):
+        ends = [fibre(q1, 0.0), fibre(q1, 1.0), fibre(q2, lo), fibre(q2, hi)]
+        assert abs(segment_pair_distance(space, *ends) - want) < 1e-12
+        assert abs(segment_pair_distance(space, *iso.apply(np.array(ends))) - want) < 1e-12
+
+
+@pytest.mark.parametrize("space", [SpaceForm.hyperbolic(3), SpaceForm.hyperbolic(3, Model.HYPERBOLOID),
+                                   SpaceForm.sphere(3), SpaceForm.sphere(3, Model.STEREO_BALL)],
+                         ids=["poincare", "hyperboloid", "unit_sphere", "stereo"])
+def test_segment_distance_resolves_offset_of_1e_9(space):
+    rng = np.random.default_rng(32)
+    for _ in range(10):
+        x, (t1, t2) = curved_frame(space.kind, rng, 0.5)
+        a, b = exp_can(space.kind, x, t1, -0.3), exp_can(space.kind, x, t1, 0.4)
+        p = exp_can(space.kind, x, t2, 1e-9)
+        d = point_segment_distance(space, *(unembed(space, e) for e in (p, a, b)))
+        assert 0.5e-9 <= d <= 2e-9
 
 
 # ---------------------------------------------------------------------------
