@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GeometryError
 
@@ -316,6 +315,8 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
     integrates to exactly 2 pi when f = 0, and tends to 2 pi as r grows
     for decaying graphs.
     """
+    from scipy.integrate import quad  # imported here: it dominates cold start
+
     if r <= 0:
         raise GeometryError("radius must be positive")
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import GeometryError
 from .mobius import SampledCurve, curve_length_on_sphere, polyline_length, round_sphere_volume
@@ -21,13 +20,28 @@ from .mobius import SampledCurve, curve_length_on_sphere, polyline_length, round
 SMALL_RADIUS = 1e-2
 
 
+def _csch_power_antiderivative(n: int, x: np.ndarray) -> np.ndarray:
+    """An antiderivative of csch^n, by the reduction formula
+
+        int csch^n = -csch^(n-2) coth / (n-1) - (n-2)/(n-1) int csch^(n-2),
+
+    down to int csch = log tanh(x/2) and int csch^2 = -coth.
+    """
+    if n == 1:
+        return np.log(np.tanh(x / 2.0))
+    if n == 2:
+        return -1.0 / np.tanh(x)
+    return (-np.sinh(x) ** (2 - n) / np.tanh(x)
+            - (n - 2) * _csch_power_antiderivative(n - 2, x)) / (n - 1)
+
+
 @dataclass(frozen=True)
 class GreenProfile:
     """Radial Green's profile: G' = sinh^(1-m), G its antiderivative.
 
-    G is defined up to an additive constant; for m = 2 the closed form
-    G(x) = log tanh(x/2) is used, otherwise G is integrated numerically
-    from x = 1.
+    G is defined up to an additive constant.  For m = 2 and m = 3 it is
+    G(x) = log tanh(x/2) and G(x) = -coth(x); for m >= 4 it is the closed
+    form of the reduction formula, anchored at G(1) = 0.
     """
 
     m: int
@@ -46,14 +60,11 @@ class GreenProfile:
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0):
             raise GeometryError("Green profile needs x > 0")
-        if self.m == 2:
-            return np.log(np.tanh(x / 2.0))
-        if self.m == 3:
-            return -1.0 / np.tanh(x)
-        vals = [quad(lambda s: math.sinh(s) ** (1 - self.m), 1.0, float(xi))[0]
-                for xi in np.atleast_1d(x)]
-        out = np.array(vals)
-        return out if x.ndim else float(out[0])
+        anti = _csch_power_antiderivative(self.m - 1, x)
+        if self.m <= 3:
+            return anti
+        out = anti - _csch_power_antiderivative(self.m - 1, 1.0)
+        return out if x.ndim else float(out)
 
 
 def laplacian_G(m: int, rho, grad_norm) -> np.ndarray:

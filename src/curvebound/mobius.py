@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gamma
 
 from .errors import GeometryError, NumericalError
 from .spaceform import as_rng
@@ -149,7 +147,7 @@ def round_sphere_volume(m: int) -> float:
     """Volume of the unit (m-1)-sphere: m * omega_m, omega_m = pi^(m/2)/Gamma(m/2+1)."""
     if m < 1:
         raise GeometryError("dimension parameter must be >= 1")
-    omega = math.pi ** (m / 2.0) / gamma(m / 2.0 + 1.0)
+    omega = math.pi ** (m / 2.0) / math.gamma(m / 2.0 + 1.0)
     return m * omega
 
 
@@ -220,6 +218,17 @@ def example_34_curve(eps: float, samples_per_piece: int = 512) -> SampledCurve:
 # ---------------------------------------------------------------------------
 # Mobius volume search
 # ---------------------------------------------------------------------------
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on first call.
+
+    Importing ``scipy.optimize`` costs more than most subcommands' whole
+    run, and only the Mobius volume and extremal searches need it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 @dataclass

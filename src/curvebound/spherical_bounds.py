@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConstructionError, GeometryError
+from .mobius import minimize
 from .polycurve import PolygonalCurve, total_curvature, validate
 from .spaceform import SpaceForm, as_rng
 
@@ -90,8 +90,11 @@ def _variant_arity(variant: BoundVariant, k: int, closed_override: bool | None =
     return closed
 
 
-def analytic_bound(k: int, closed: bool, theta: float = 0.0) -> float:
-    """Sharp length bound for a k-vertex spherical polygon or chain."""
+def analytic_bound(k: int, closed: bool, theta=0.0):
+    """Sharp length bound for a k-vertex spherical polygon or chain.
+
+    theta, the endpoint separation of an open chain, may be an array.
+    """
     if closed:
         return 2.0 * (k // 2) * math.pi
     if k % 2 == 1:
@@ -102,21 +105,22 @@ def analytic_bound(k: int, closed: bool, theta: float = 0.0) -> float:
 def check_bound(points, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> BoundCheck:
     """Measure a configuration's length against its variant bound."""
     p = _check_unit(points)
-    k = p.shape[0]
-    closed = _variant_arity(variant, k)
-    segs = _arc(p, np.roll(p, -1, axis=0)) if closed else _arc(p[:-1], p[1:])
-    measured = float(np.sum(segs))
-    theta = None if closed else float(_arc(p[0], p[-1]))
-    bound = analytic_bound(k, closed, theta or 0.0)
+    out = check_bound_batch(p[None], variant, flag_tol)
+    theta = None if out["theta"] is None else float(out["theta"][0])
     flags = EqualityFlags(
-        antipodal_pair=_has_antipodal_pair(p, flag_tol),
-        great_circle=_coplanar_through_origin(p, flag_tol),
+        antipodal_pair=bool(out["antipodal_pair"][0]),
+        great_circle=bool(out["great_circle"][0]),
     )
-    return BoundCheck(variant, p, measured, bound, theta, bound - measured, flags)
+    return BoundCheck(variant, p, float(out["measured"][0]), float(out["bound"][0]),
+                      theta, float(out["slack"][0]), flags)
 
 
 def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> dict:
-    """Vectorized check_bound for a batch (B, k, n) of unit-vector polygons."""
+    """Measure a batch (B, k, n) of unit-vector polygons against the variant bound.
+
+    Equality flags: an antipodal vertex pair, and all vertices on one great
+    circle (third singular value below flag_tol).
+    """
     p = np.asarray(points, dtype=float)
     b, k, n = p.shape
     closed = _variant_arity(variant, k)
@@ -127,12 +131,7 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float
         segs = _arc(p[:, :-1], p[:, 1:])
         theta = _arc(p[:, 0], p[:, -1])
     measured = np.sum(segs, axis=-1)
-    if closed:
-        bound = np.full(b, 2.0 * (k // 2) * math.pi)
-    elif k % 2 == 1:
-        bound = (k - 1) * math.pi - theta
-    else:
-        bound = (k - 2) * math.pi + theta
+    bound = np.full(b, analytic_bound(k, closed, theta))
 
     antipodal = np.zeros(b, dtype=bool)
     for i in range(k):
@@ -151,23 +150,6 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float
         "antipodal_pair": antipodal,
         "great_circle": coplanar,
     }
-
-
-def _has_antipodal_pair(p: np.ndarray, tol: float) -> bool:
-    k = p.shape[0]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if np.linalg.norm(p[i] + p[j]) < tol:
-                return True
-    return False
-
-
-def _coplanar_through_origin(p: np.ndarray, tol: float) -> bool:
-    """All vertices in one 2-plane through the origin: third singular value ~ 0."""
-    if p.shape[-1] <= 2:
-        return True
-    sv = np.linalg.svd(p, compute_uv=False)
-    return bool(sv[2] < tol)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +159,48 @@ def test_out_flag_writes_identical_report(capsys, square_file, tmp_path):
     capsys.readouterr()
     assert code == code2 == 0
     assert out_path.read_text() == stdout
+
+
+# ---------------------------------------------------------------------------
+# cold start
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+import curvebound, curvebound.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = {"import": [0, scipy_modules()]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = curvebound.cli.main(argv)
+    seen[argv[0]] = [code, scipy_modules()]
+seen["same_minimize"] = curvebound.mobius.minimize is curvebound.spherical_bounds.minimize
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle_file,
+                                              trefoil_file):
+    argvs = [
+        ["totcurv", square_file],
+        ["bounds-check", triangle_file],
+        ["certify", square_file, "--budget", "50"],
+        ["cone-density", square_file, "--point", "0.5,0.5,0"],
+        ["hyp-density", circle_file],
+        ["sharpness", "--m", "2"],
+        ["knot-det", trefoil_file, "--direction", "0,0,1"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    seen = json.loads(proc.stdout)
+    assert seen.pop("same_minimize") is True
+    assert seen == {name: [0, []] for name in ["import"] + [a[0] for a in argvs]}
 
 
 # ---------------------------------------------------------------------------

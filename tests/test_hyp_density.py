@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from curvebound import (
     ConeSurface,
@@ -57,12 +60,21 @@ def test_quadrature_branch_matches_antiderivative():
     assert got == pytest.approx(anti(xs) - anti(1.0), abs=1e-9)
 
 
+def test_closed_form_matches_quadrature_high_m():
+    xs = np.geomspace(0.05, 20.0, 31)
+    for m in range(4, 9):
+        ref = [quad(lambda s: math.sinh(s) ** (1 - m), 1.0, x,
+                    epsabs=1e-14, epsrel=1e-13, limit=200)[0] for x in xs]
+        assert GreenProfile(m).g(xs) == pytest.approx(ref, rel=1e-11, abs=1e-12)
+        assert GreenProfile(m).g(1.0) == 0.0
+
+
 def test_g_closed_forms():
     p2, p3 = GreenProfile(2), GreenProfile(3)
     xs = np.array([0.3, 1.0, 2.5])
     assert p2.g(xs) == pytest.approx(np.log(np.tanh(xs / 2.0)), abs=1e-14)
     assert p3.g(xs) == pytest.approx(-1.0 / np.tanh(xs), abs=1e-14)
-    # the numerically integrated branch is anchored at x = 1
+    # the m >= 4 closed form is anchored at G(1) = 0
     assert GreenProfile(4).g(1.0) == pytest.approx(0.0, abs=1e-12)
 
 

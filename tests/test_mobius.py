@@ -131,6 +131,14 @@ def test_round_sphere_volume_values():
         round_sphere_volume(0)
 
 
+def test_round_sphere_volume_exact_closed_forms():
+    pi = np.pi
+    exact = {1: 2.0, 2: 2.0 * pi, 3: 4.0 * pi, 4: 2.0 * pi**2,
+             5: 8.0 * pi**2 / 3.0, 6: pi**3}
+    for m, vol in exact.items():
+        assert round_sphere_volume(m) == pytest.approx(vol, rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # translated circles never beat the great circle
 # ---------------------------------------------------------------------------

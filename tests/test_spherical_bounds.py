@@ -125,26 +125,47 @@ def test_non_unit_vertices_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _equality_configs(rng, k):
+    """An antipodal pair inserted into a random configuration, and k points
+    on a tilted great circle."""
+    anti = random_unit(rng, k, 3)
+    anti[k // 2] = -anti[0]
+    frame = np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2]
+    t = rng.uniform(0.0, 2.0 * np.pi, k)
+    circle = np.cos(t)[:, None] * frame[:, 0] + np.sin(t)[:, None] * frame[:, 1]
+    return [anti, circle]
+
+
+def _assert_batch_matches_scalar(rng, variant, k, n_random):
+    configs = list(random_unit(rng, n_random * k, 3).reshape(n_random, k, 3))
+    configs += _equality_configs(rng, k)
+    checks = [check_bound(cfg, variant) for cfg in configs]
+    # the batch sees the scalar path's renormalized vertices
+    out = check_bound_batch(np.stack([chk.points for chk in checks]), variant)
+    assert out["antipodal_pair"][-2] and out["great_circle"][-1]
+    for i, chk in enumerate(checks):
+        assert chk.measured == out["measured"][i]
+        assert chk.bound == out["bound"][i]
+        assert chk.slack == out["slack"][i]
+        assert chk.theta == (None if out["theta"] is None else out["theta"][i])
+        assert chk.equality_flags.antipodal_pair == out["antipodal_pair"][i]
+        assert chk.equality_flags.great_circle == out["great_circle"][i]
+    return out
+
+
 def test_batch_matches_scalar_closed(rng):
-    batch = random_unit(rng, 30 * 5, 3).reshape(30, 5, 3)
-    out = check_bound_batch(batch, BoundVariant.CLOSED_ODD)
-    for i, cfg in enumerate(batch):
-        chk = check_bound(cfg, BoundVariant.CLOSED_ODD)
-        assert out["measured"][i] == pytest.approx(chk.measured, abs=EXACT)
-        assert out["slack"][i] == pytest.approx(chk.slack, abs=EXACT)
-        assert out["antipodal_pair"][i] == chk.equality_flags.antipodal_pair
-        assert out["great_circle"][i] == chk.equality_flags.great_circle
-    assert out["theta"] is None
+    for variant, k in ((BoundVariant.TRIANGLE, 3), (BoundVariant.CLOSED_ODD, 5)):
+        out = _assert_batch_matches_scalar(rng, variant, k, 30)
+        assert out["theta"] is None
 
 
 def test_batch_matches_scalar_chain2(rng):
-    batch = random_unit(rng, 20 * 4, 3).reshape(20, 4, 3)
-    out = check_bound_batch(batch, BoundVariant.CHAIN2)
-    for i, cfg in enumerate(batch):
-        chk = check_bound(cfg, BoundVariant.CHAIN2)
-        assert out["measured"][i] == pytest.approx(chk.measured, abs=EXACT)
-        assert out["theta"][i] == pytest.approx(chk.theta, abs=EXACT)
-        assert out["bound"][i] == pytest.approx(chk.bound, abs=EXACT)
+    _assert_batch_matches_scalar(rng, BoundVariant.CHAIN2, 4, 20)
+
+
+def test_batch_matches_scalar_open(rng):
+    for variant, k in ((BoundVariant.CHAIN1, 3), (BoundVariant.OPEN_ODD, 7)):
+        _assert_batch_matches_scalar(rng, variant, k, 20)
 
 
 # ---------------------------------------------------------------------------
