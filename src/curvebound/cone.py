@@ -31,6 +31,7 @@ from .spaceform import (
     SpaceForm,
     as_rng,
     base_point_isometry,
+    convert_coords,
     dist_arrays,
     embed,
     geodesic_arrays,
@@ -153,11 +154,12 @@ def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
                        samples_per_segment: int = 2048) -> float:
     """Quadrature oracle for cone_angle.
 
-    Moves p to the chart base point by an isometry, maps the curve through
+    Moves p to the chart base point by an isometry, maps the vertices to
     the chart in which geodesics from the base point become rays from the
     origin (stereographic chart on the sphere, Poincare ball in hyperbolic
-    space, a translation in Euclidean space), radially projects dense
-    segment samples to the unit sphere, and sums chord-limit arc lengths.
+    space, a translation in Euclidean space), samples every segment along
+    its geodesic in one call, radially projects the samples to the unit
+    sphere, and sums chord-limit arc lengths.
     """
     x = _coerce_coords(space, p)
     if point_curve_distance(space, x, curve) < ON_CURVE_TOL:
@@ -165,25 +167,23 @@ def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
     if space.kind is Kind.SPHERE:
         _check_sphere_admissible(space, x, curve)
     iso = base_point_isometry(space, x)
-    verts = iso.apply(curve.vertices)
+    if space.kind is Kind.SPHERE:
+        chart_space = space.with_model(Model.STEREO_BALL)
+    elif space.kind is Kind.HYPERBOLIC:
+        chart_space = space.with_model(Model.POINCARE_BALL)
+    else:
+        chart_space = space
+    verts = convert_coords(space, iso.apply(curve.vertices), chart_space.model)
+    ends = np.roll(verts, -1, axis=0)[: curve.n_segments]
     t = np.linspace(0.0, 1.0, samples_per_segment + 1)
-    total = 0.0
-    for i in range(curve.n_segments):
-        j = (i + 1) % curve.k
-        seg = geodesic_arrays(space, verts[i], verts[j], t)
-        if space.kind is Kind.SPHERE:
-            chart = unembed(space.with_model(Model.STEREO_BALL), embed(space, seg))
-        elif space.kind is Kind.HYPERBOLIC:
-            chart = unembed(space.with_model(Model.POINCARE_BALL), embed(space, seg))
-        else:
-            chart = seg
-        rad = np.linalg.norm(chart, axis=-1, keepdims=True)
-        if np.any(rad < 1e-14):
-            raise GeometryError("radial projection hit the apex")
-        y = chart / rad
-        chords = np.linalg.norm(np.diff(y, axis=0), axis=-1)
-        total += float(np.sum(2.0 * np.arcsin(np.clip(chords / 2.0, 0.0, 1.0))))
-    return total
+    # every segment, sampled along its geodesic, in one (k, S+1) chart array
+    chart = geodesic_arrays(chart_space, verts[: curve.n_segments, None, :], ends[:, None, :], t)
+    rad = np.sqrt(np.einsum("ksi,ksi->ks", chart, chart))
+    if np.any(rad < 1e-14):
+        raise GeometryError("radial projection hit the apex")
+    step = np.diff(chart / rad[..., None], axis=1)
+    chords = np.sqrt(np.einsum("ksi,ksi->ks", step, step))
+    return float(np.sum(2.0 * np.arcsin(np.clip(chords / 2.0, 0.0, 1.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .spaceform import as_rng
 BALL_LIMIT = 1.0 - 1e-12
 SEARCH_CAP = 1.0 - 1e-6
 DENOM_TOL = 1e-14
+GRID_CHUNK_ELEMS = 2**14  # rows x chords per translate_lengths call in the grid
 
 
 @dataclass(frozen=True)
@@ -98,39 +99,48 @@ class SampledCurve:
         return SampledCurve(mobius_translate(a, self.points), self.closed, self.breaks)
 
 
-def _chord_sum(pts: np.ndarray) -> float:
-    return float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=-1)))
+def _chord_plan(n: int, closed: bool, breaks=()) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index pairs (I, J) and weights w with length = w @ |x_I - x_J|.
+
+    The samples split at ``breaks`` into smooth pieces.  A piece of m chords
+    with m >= 4 even is extrapolated by Richardson step-halving,
+    l1 + (l1 - l2) / 3: its chords weigh 4/3 and its double-step chords
+    -1/3.  The chords of any other piece weigh 1.
+    """
+    if n < 2:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    if closed:
+        marks = list(breaks) if breaks else [0]
+        pieces = [np.arange(start, stop + 1) if stop > start
+                  else np.concatenate([np.arange(start, n), np.arange(0, stop + 1)])
+                  for start, stop in zip(marks, marks[1:] + marks[:1])]
+    else:
+        marks = [0] + [b for b in breaks if 0 < b < n - 1] + [n - 1]
+        pieces = [np.arange(a, b + 1) for a, b in zip(marks[:-1], marks[1:])]
+    i, j, w = [], [], []
+    for idx in pieces:
+        m = idx.size - 1
+        richardson = m >= 4 and m % 2 == 0
+        i.append(idx[:-1])
+        j.append(idx[1:])
+        w.append(np.full(m, 4.0 / 3.0 if richardson else 1.0))
+        if richardson:
+            i.append(idx[:-2:2])
+            j.append(idx[2::2])
+            w.append(np.full(m // 2, -1.0 / 3.0))
+    return np.concatenate(i), np.concatenate(j), np.concatenate(w)
 
 
-def _piece_length(pts: np.ndarray) -> float:
-    """Chord-sum length of one smooth piece with Richardson step-halving."""
-    m = pts.shape[0] - 1
-    l1 = _chord_sum(pts)
-    if m >= 4 and m % 2 == 0:
-        l2 = _chord_sum(pts[::2])
-        return l1 + (l1 - l2) / 3.0
-    return l1
+def _chord_lengths(pts: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    d = np.take(pts, i, axis=0) - np.take(pts, j, axis=0)
+    return np.sqrt(np.einsum("pk,pk->p", d, d))
 
 
 def polyline_length(points: np.ndarray, closed: bool, breaks: tuple[int, ...] = ()) -> float:
     """Length of a sampled curve in R^n, extrapolated piece by piece."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[0]
-    if n < 2:
-        return 0.0
-    if closed:
-        marks = list(breaks) if breaks else [0]
-        total = 0.0
-        for i, start in enumerate(marks):
-            stop = marks[(i + 1) % len(marks)]
-            if stop > start:
-                idx = np.arange(start, stop + 1)
-            else:
-                idx = np.concatenate([np.arange(start, n), np.arange(0, stop + 1)])
-            total += _piece_length(pts[idx])
-        return total
-    marks = [0] + [b for b in breaks if 0 < b < n - 1] + [n - 1]
-    return sum(_piece_length(pts[a : b + 1]) for a, b in zip(marks[:-1], marks[1:]))
+    i, j, w = _chord_plan(pts.shape[0], closed, breaks)
+    return float(w @ _chord_lengths(pts, i, j))
 
 
 def curve_length_on_sphere(curve: SampledCurve) -> float:
@@ -141,6 +151,48 @@ def curve_length_on_sphere(curve: SampledCurve) -> float:
     converge at O(h^2) and better on smooth pieces.
     """
     return polyline_length(curve.points, curve.closed, curve.breaks)
+
+
+@dataclass(frozen=True)
+class Chords:
+    """Chord plan of a sampled curve for ``translate_lengths``.
+
+    ``xt`` holds the samples, normalized once, one row per coordinate; ``c``
+    the weighted chords w * |x_i - x_j| of ``_chord_plan``.
+    """
+
+    xt: np.ndarray  # (n, N) unit samples, transposed
+    i: np.ndarray   # (P,) chord start indices
+    j: np.ndarray   # (P,) chord end indices
+    c: np.ndarray   # (P,) weighted chord lengths
+
+    @classmethod
+    def of(cls, curve: SampledCurve) -> "Chords":
+        x = curve.points / np.linalg.norm(curve.points, axis=-1, keepdims=True)
+        i, j, w = _chord_plan(curve.n, curve.closed, curve.breaks)
+        return cls(np.ascontiguousarray(x.T), i, j, w * _chord_lengths(x, i, j))
+
+
+def translate_lengths(chords: Chords, A) -> np.ndarray:
+    """Spherical lengths of the curve under the translations T_a, a in rows of A.
+
+    Closed form from the conformal identity for unit x, y:
+    |T_a x - T_a y| = (1 - |a|^2) |x - y| / (|x + a| |y + a|).  The
+    denominators |x + a|^2 are summed coordinate by coordinate rather than
+    expanded as 1 + |a|^2 + 2<x, a>, whose cancellation near x = -a costs
+    up to 1e-8 relative.  Rows with |a| >= BALL_LIMIT or a denominator
+    below DENOM_TOL give -inf.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    a2 = np.einsum("bk,bk->b", A, A)
+    den = np.square(chords.xt[0] + A[:, :1])
+    for k in range(1, A.shape[1]):
+        den += np.square(chords.xt[k] + A[:, k:k + 1])
+    ok = (np.sqrt(a2) < BALL_LIMIT) & (den.min(axis=-1) >= DENOM_TOL)
+    den[~ok] = 1.0
+    r = 1.0 / np.sqrt(den)
+    pairs = np.take(r, chords.i, axis=1) * np.take(r, chords.j, axis=1)
+    return np.where(ok, (1.0 - a2) * (pairs @ chords.c), -np.inf)
 
 
 def round_sphere_volume(m: int) -> float:
@@ -248,29 +300,24 @@ class MobiusVolumeResult:
         }
 
 
-def _length_of_translate(curve: SampledCurve, a: np.ndarray) -> float:
-    try:
-        return curve_length_on_sphere(curve.transform(a))
-    except (GeometryError, NumericalError):
-        return -np.inf
-
-
 def mobius_volume(curve: SampledCurve, restarts: int = 32, iterations: int = 500,
                   rng=0, cap: float = SEARCH_CAP) -> MobiusVolumeResult:
     """Lower estimate of sup over |a| < 1 of the translated curve's length.
 
     Multi-start Nelder-Mead over the translation parameter with a barrier
-    at |a| = cap, always including a = 0.  For closed curves the analytic
-    blow-up lower bound (a pushed to a curve point gives a great circle of
-    length 2 pi in the limit) is folded into the max.
+    at |a| = cap, always including a = 0; each evaluation is one row of
+    ``translate_lengths`` on a chord plan built once.  For closed curves
+    the analytic blow-up lower bound (a pushed to a curve point gives a
+    great circle of length 2 pi in the limit) is folded into the max.
     """
     rng = as_rng(rng)
     dim = curve.points.shape[1]
+    chords = Chords.of(curve)
 
     def neg_length(a):
         if np.linalg.norm(a) >= cap:
             return 1e9 * (1.0 + float(np.linalg.norm(a)))
-        return -_length_of_translate(curve, a)
+        return -float(translate_lengths(chords, a)[0])
 
     starts = [np.zeros(dim)]
     while len(starts) < max(1, restarts):
@@ -317,13 +364,20 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
 
     Evaluates the objective on a global random grid in the parameter
     ball, then on successively shrinking balls around the running best.
+    Each layer's points go through ``translate_lengths`` in chunks of
+    GRID_CHUNK_ELEMS // (number of chords) rows, so memory stays bounded
+    for any grid size.  The best value is taken with strict ``>`` and the
+    first argmax, so ties keep the earliest point, as one point at a time
+    would.
     """
     rng = as_rng(rng)
     dim = curve.points.shape[1]
     layers = refinements + 1
     per_layer = max(1, n_points // layers)
+    chords = Chords.of(curve)
+    rows = max(1, GRID_CHUNK_ELEMS // max(1, chords.c.size))
 
-    best_len = _length_of_translate(curve, np.zeros(dim))
+    best_len = float(translate_lengths(chords, np.zeros(dim))[0])
     best_a = np.zeros(dim)
     center = np.zeros(dim)
     radius = cap
@@ -332,12 +386,13 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
         raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
         radii = radius * rng.uniform(0.0, 1.0, per_layer) ** (1.0 / dim)
         pts = center + raw * radii[:, None]
-        keep = np.linalg.norm(pts, axis=-1) < cap
-        for a in pts[keep]:
-            val = _length_of_translate(curve, a)
-            if val > best_len:
-                best_len = val
-                best_a = a
+        pts = pts[np.linalg.norm(pts, axis=-1) < cap]
+        for start in range(0, pts.shape[0], rows):
+            vals = translate_lengths(chords, pts[start:start + rows])
+            k = int(np.argmax(vals))
+            if vals[k] > best_len:
+                best_len = float(vals[k])
+                best_a = pts[start + k]
         center = best_a
         radius *= 2.0 * (per_layer ** (-1.0 / dim))
 

@@ -150,6 +150,20 @@ def test_dual_route_hyperbolic(rng):
     assert abs(a - b) < DUAL_ROUTE_TOL
 
 
+@pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.hyperbolic(3),
+                                   SpaceForm.sphere(3, Model.STEREO_BALL)])
+def test_sampled_angle_sums_its_segments(space, rng):
+    # the one-pass quadrature equals one pass per segment
+    verts = 0.3 * random_simple_polygons(rng, 1)[0]
+    p = np.array([0.45, 0.1, -0.2])
+    whole = cone_angle_sampled(space, p, PolygonalCurve(space, verts), samples_per_segment=256)
+    parts = sum(cone_angle_sampled(space, p, PolygonalCurve(space, verts[[i, (i + 1) % 5]],
+                                                            closed=False),
+                                   samples_per_segment=256)
+                for i in range(5))
+    assert whole == pytest.approx(parts, rel=0.0, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # on-curve cases
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from curvebound import (
     round_sphere_volume,
     simple_mask_euclidean,
 )
+from curvebound import mobius
+from curvebound.mobius import BALL_LIMIT, Chords, translate_lengths
 
 from conftest import random_unit
 
@@ -140,6 +142,99 @@ def test_round_sphere_volume_exact_closed_forms():
 
 
 # ---------------------------------------------------------------------------
+# the closed-form length kernel against an independent oracle
+# ---------------------------------------------------------------------------
+
+KERNEL_TOL = 1e-11
+
+
+def _oracle_length(curve: SampledCurve, a) -> float:
+    """Length of T_a(curve) in long double: T_a from its definition, each
+    image renormalized, chord sums extrapolated piece by piece."""
+    ld = np.longdouble
+    x = curve.points.astype(ld)
+    a = np.asarray(a, dtype=float).astype(ld)
+    a2 = np.sum(a * a)
+    x2 = np.sum(x * x, axis=-1, keepdims=True)
+    xa = np.sum(x * a, axis=-1, keepdims=True)
+    y = ((1 - a2) * x + (x2 + 2 * xa + 1) * a) / (a2 * x2 + 2 * xa + 1)
+    y /= np.sqrt(np.sum(y * y, axis=-1, keepdims=True))
+
+    def chord_sum(p):
+        return np.sum(np.sqrt(np.sum(np.diff(p, axis=0) ** 2, axis=-1)))
+
+    def piece(p):
+        m = len(p) - 1
+        fine = chord_sum(p)
+        if m >= 4 and m % 2 == 0:
+            return fine + (fine - chord_sum(p[::2])) / 3
+        return fine
+
+    n = len(y)
+    if curve.closed:
+        marks = list(curve.breaks) or [0]
+        spans = zip(marks, marks[1:] + marks[:1])
+        pieces = [y[s:t + 1] if t > s else np.concatenate([y[s:], y[:t + 1]])
+                  for s, t in spans]
+    else:
+        marks = [0] + [b for b in curve.breaks if 0 < b < n - 1] + [n - 1]
+        pieces = [y[s:t + 1] for s, t in zip(marks[:-1], marks[1:])]
+    return float(sum(piece(p) for p in pieces))
+
+
+def _kernel_curves():
+    blowup = example_34_curve(np.pi / 4, samples_per_piece=32)
+    return {
+        "closed": latitude_circle_curve(1.0, n=96),
+        "closed_breaks": blowup,
+        "open_breaks": SampledCurve(blowup.points[5:90], closed=False, breaks=(27, 59)),
+    }
+
+
+def _kernel_params(curve, rng):
+    rows = []
+    for s in (0.0, 0.3, 0.9, 0.99, 0.999, 0.9999):
+        rows.append(s * random_unit(rng, 1, 3)[0])
+    for k in (0, 17, 40):
+        # pushed toward a sample and away from it: T_a blows up near -a/|a|
+        rows += [0.9999 * curve.points[k], -0.9999 * curve.points[k]]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("name", ["closed", "closed_breaks", "open_breaks"])
+def test_translate_lengths_match_oracle(name, rng):
+    curve = _kernel_curves()[name]
+    params = _kernel_params(curve, rng)
+    got = translate_lengths(Chords.of(curve), params)
+    want = np.array([_oracle_length(curve, a) for a in params])
+    assert np.max(np.abs(got - want)) <= KERNEL_TOL
+
+
+@pytest.mark.parametrize("name", ["closed", "closed_breaks", "open_breaks"])
+def test_translate_lengths_batch_matches_rows(name, rng):
+    curve = _kernel_curves()[name]
+    chords = Chords.of(curve)
+    params = _kernel_params(curve, rng)
+    batch = translate_lengths(chords, params)
+    rows = np.array([translate_lengths(chords, a)[0] for a in params])
+    assert np.all(np.abs(batch - rows) <= 1e-13 * np.abs(rows))
+
+
+def test_translate_lengths_reject_rows_without_raising():
+    curve = _kernel_curves()["closed_breaks"]
+    x = curve.points[3]
+    params = np.array([
+        [0.2, 0.1, 0.0],
+        (1.0 - 1e-13) * x,            # |a| >= BALL_LIMIT
+        -(1.0 - 5e-8) * x,            # |x + a|^2 = 2.5e-15 < DENOM_TOL
+        BALL_LIMIT * np.array([0.0, 0.6, 0.8]),
+    ])
+    got = translate_lengths(Chords.of(curve), params)
+    assert np.isfinite(got[0])
+    assert np.all(got[1:] == -np.inf)
+
+
+# ---------------------------------------------------------------------------
 # translated circles never beat the great circle
 # ---------------------------------------------------------------------------
 
@@ -188,6 +283,29 @@ def test_grid_agrees_with_optimizer():
     opt = mobius_volume(c, restarts=6, iterations=150, rng=0)
     grid = mobius_volume_grid(c, n_points=2000, rng=1)
     assert abs(opt.sup_estimate - grid.sup_estimate) < 1e-3
+
+
+@pytest.mark.parametrize("b", [[0.3, 0.0, 0.0], [0.0, -0.25, 0.35], [0.3, 0.3, -0.3]])
+def test_volume_is_mobius_invariant_off_the_origin(b):
+    # both searches seed a = 0; on the translated curve the maximizer is
+    # a = -b, so agreeing with the untranslated sup is a real cross-check
+    curve = example_34_curve(np.pi / 4, samples_per_piece=128)
+    base = mobius_volume(curve, restarts=6, iterations=150, rng=0).sup_estimate
+    moved = curve.transform(np.array(b))
+    opt = mobius_volume(moved, restarts=6, iterations=150, rng=0)
+    grid = mobius_volume_grid(moved, n_points=10**4, rng=0)
+    for res in (opt, grid):
+        assert abs(res.sup_estimate - base) <= 1e-3
+        assert np.linalg.norm(res.argmax_a) > 0.2
+
+
+def test_grid_chunking_does_not_change_the_result(monkeypatch):
+    curve = example_34_curve(np.pi / 8, samples_per_piece=32).transform(np.array([0.1, 0.2, 0.0]))
+    chunked = mobius_volume_grid(curve, n_points=600, rng=3)
+    monkeypatch.setattr(mobius, "GRID_CHUNK_ELEMS", 1)
+    single = mobius_volume_grid(curve, n_points=600, rng=3)
+    assert chunked.sup_estimate == pytest.approx(single.sup_estimate, rel=1e-13)
+    assert np.array_equal(chunked.argmax_a, single.argmax_a)
 
 
 def test_result_dict_is_json_friendly():
