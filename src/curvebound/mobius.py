@@ -276,7 +276,7 @@ def minimize(fun, x0, **kwargs):
     """``scipy.optimize.minimize``, imported on first call.
 
     Importing ``scipy.optimize`` costs more than most subcommands' whole
-    run, and only the Mobius volume and extremal searches need it.
+    run, and only the Mobius volume search needs it.
     """
     from scipy.optimize import minimize as scipy_minimize
 

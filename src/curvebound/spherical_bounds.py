@@ -18,7 +18,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConstructionError, GeometryError
-from .mobius import minimize
 from .polycurve import PolygonalCurve, total_curvature, validate
 from .spaceform import SpaceForm, as_rng
 
@@ -102,6 +101,17 @@ def analytic_bound(k: int, closed: bool, theta=0.0):
     return (k - 2) * math.pi + theta
 
 
+def _length_theta(p: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Length and endpoint separation theta (0 when closed) of (..., k, n) configurations."""
+    if closed:
+        segs = _arc(p, np.roll(p, -1, axis=-2))
+        theta = np.zeros(p.shape[:-2])
+    else:
+        segs = _arc(p[..., :-1, :], p[..., 1:, :])
+        theta = _arc(p[..., 0, :], p[..., -1, :])
+    return np.sum(segs, axis=-1), theta
+
+
 def check_bound(points, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> BoundCheck:
     """Measure a configuration's length against its variant bound."""
     p = _check_unit(points)
@@ -124,13 +134,7 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float
     p = np.asarray(points, dtype=float)
     b, k, n = p.shape
     closed = _variant_arity(variant, k)
-    if closed:
-        segs = _arc(p, np.roll(p, -1, axis=1))
-        theta = np.zeros(b)
-    else:
-        segs = _arc(p[:, :-1], p[:, 1:])
-        theta = _arc(p[:, 0], p[:, -1])
-    measured = np.sum(segs, axis=-1)
+    measured, theta = _length_theta(p, closed)
     bound = np.full(b, analytic_bound(k, closed, theta))
 
     antipodal = np.zeros(b, dtype=bool)
@@ -157,31 +161,14 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float
 # ---------------------------------------------------------------------------
 
 
-def _config_objective(p: np.ndarray, variant: BoundVariant, closed: bool) -> float:
-    """Length adjusted by the theta term so the cap is a constant."""
-    if closed:
-        return float(np.sum(_arc(p, np.roll(p, -1, axis=0))))
-    length = float(np.sum(_arc(p[:-1], p[1:])))
-    theta = float(_arc(p[0], p[-1]))
-    if variant is BoundVariant.CHAIN2:
-        return length - theta
-    return length + theta
+def _slack(p: np.ndarray, k: int, closed: bool) -> float:
+    """check_bound's slack of one (k, n) configuration, without the flags.
 
-
-def _tangent_frame(p: np.ndarray) -> np.ndarray:
-    n = p.shape[0]
-    basis = np.eye(n)
-    cols = []
-    for e in basis:
-        w = e - np.dot(e, p) * p
-        for c in cols:
-            w = w - np.dot(w, c) * c
-        nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            cols.append(w / nw)
-        if len(cols) == n - 1:
-            break
-    return np.stack(cols)
+    The rows are renormalized as check_bound renormalizes them: arccos near
+    -1 turns a one-ulp change of an antipodal pair into 1.5e-8 of length.
+    """
+    measured, theta = _length_theta(_check_unit(p), closed)
+    return float(analytic_bound(k, closed, theta) - measured)
 
 
 def extremal_search(
@@ -193,71 +180,50 @@ def extremal_search(
 ) -> ExtremalResult:
     """Empirically maximize configuration length under the variant's rules.
 
-    Coordinate-wise ascent: each vertex is locally re-optimized by a 2D
-    polytope search in its tangent chart, together with the two exact
-    antipodal candidate moves.  The reported supremum estimate is clamped
-    at the analytic bound, so it can never exceed bound + 1e-6.
+    Coordinate-wise ascent with one exact move per vertex.  Fix the
+    neighbours a and b of a vertex q.  Its two arcs sum to
+    d(a,q) + d(q,b) = 2 pi - d(-a,q) - d(q,-b) <= 2 pi - d(a,b),
+    with equality at q = -a and at q = -b.  An open chain's endpoint has one
+    neighbour a and meets the far endpoint b through theta: the +theta
+    variants give the same sum, and CHAIN2's -theta gives
+    d(q,a) - d(q,b) <= d(a,b), with equality at q = -a.  So moving q to the
+    antipode of its previous vertex (of its only neighbour at the start of
+    an open chain) attains the exact per-vertex maximum, and no local
+    optimizer can do better.  The search ends on degenerate configurations
+    that attain the bound; near-simple ones are sharpness_family's job.
+
+    The supremum estimate is the cap minus the slack that check_bound
+    reports for argmax, clamped at the cap.
     """
-    if k < 3:
-        raise GeometryError("need at least 3 vertices")
-    closed = variant in _CLOSED_VARIANTS
-    if variant is BoundVariant.TRIANGLE and k != 3:
-        raise GeometryError("triangle variant needs k = 3")
-    if variant is BoundVariant.CHAIN2 and k != 4:
-        raise GeometryError("chain2 variant needs k = 4")
+    closed = _variant_arity(variant, k)
     rng = as_rng(rng)
     restarts, sweeps = budget
-    cap = analytic_bound(k, closed) if closed else (
-        analytic_bound(k, False, 0.0) if variant is not BoundVariant.CHAIN2 else 2.0 * math.pi
-    )
+    cap = analytic_bound(k, closed)
 
-    best_val = -np.inf
+    best_slack = np.inf
     best_cfg = None
     for _ in range(max(1, restarts)):
         p = rng.standard_normal((k, dim))
         p /= np.linalg.norm(p, axis=-1, keepdims=True)
-        val = _config_objective(p, variant, closed)
+        slack = _slack(p, k, closed)
         for _sweep in range(max(1, sweeps)):
             improved = False
             for i in range(k):
-                cand = [p[i]]
-                cand.append(-p[(i - 1) % k] if closed or i > 0 else -p[1])
-                cand.append(-p[(i + 1) % k] if closed or i < k - 1 else -p[-2])
-                frame = _tangent_frame(p[i])
-
-                def local(xy, i=i, frame=frame):
-                    q = p[i] + xy @ frame
-                    q = q / np.linalg.norm(q)
-                    old = p[i].copy()
-                    p[i] = q
-                    v = _config_objective(p, variant, closed)
-                    p[i] = old
-                    return -v
-
-                res = minimize(
-                    local,
-                    np.zeros(frame.shape[0]),
-                    method="Nelder-Mead",
-                    options={"maxiter": 60, "xatol": 1e-10, "fatol": 1e-12},
-                )
-                q = p[i] + res.x @ frame
-                cand.append(q / np.linalg.norm(q))
                 old = p[i].copy()
-                for q in cand[1:]:
-                    p[i] = q
-                    v = _config_objective(p, variant, closed)
-                    if v > val + 1e-13:
-                        val = v
-                        old = q.copy()
-                        improved = True
-                p[i] = old
+                p[i] = -p[i - 1 if i > 0 or closed else 1]
+                s = _slack(p, k, closed)
+                if s < slack - 1e-13:
+                    slack = s
+                    improved = True
+                else:
+                    p[i] = old
             if not improved:
                 break
-        if val > best_val:
-            best_val = val
+        if slack < best_slack:
+            best_slack = slack
             best_cfg = p.copy()
 
-    sup = min(best_val, cap)
+    sup = min(cap - best_slack, cap)
     return ExtremalResult(variant, k, sup, best_cfg, cap, (restarts, sweeps))
 
 

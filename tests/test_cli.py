@@ -179,7 +179,6 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = curvebound.cli.main(argv)
     seen[argv[0]] = [code, scipy_modules()]
-seen["same_minimize"] = curvebound.mobius.minimize is curvebound.spherical_bounds.minimize
 print(json.dumps(seen))
 """
 
@@ -194,12 +193,12 @@ def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle
         ["hyp-density", circle_file],
         ["sharpness", "--m", "2"],
         ["knot-det", trefoil_file, "--direction", "0,0,1"],
+        ["extremal-search", "--k", "5", "--budget", "2,30"],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     seen = json.loads(proc.stdout)
-    assert seen.pop("same_minimize") is True
     assert seen == {name: [0, []] for name in ["import"] + [a[0] for a in argvs]}
 
 
@@ -230,6 +229,17 @@ def test_extremal_search_triangle(capsys):
     assert r["bound_symbolic"] == "2pi"
     assert r["sup_estimate"] >= 2.0 * np.pi - 1e-6
     assert rep["budget"] == {"restarts": 2, "sweeps": 40}
+
+
+@pytest.mark.parametrize("k, variant", [
+    ("4", "open_odd"), ("6", "open_odd"), ("4", "closed_odd"), ("5", "chain1"),
+])
+def test_extremal_search_rejects_mismatched_variant(capsys, k, variant):
+    code = main(["extremal-search", "--k", k, "--variant", variant, "--budget", "1,5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert f"{variant} variant needs" in captured.err
 
 
 def test_sharpness_command(capsys):

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvebound import (
     BoundVariant,
@@ -204,6 +206,76 @@ def test_extremal_input_errors():
         extremal_search(5, BoundVariant.TRIANGLE)
     with pytest.raises(GeometryError):
         extremal_search(5, BoundVariant.CHAIN2)
+
+
+@pytest.mark.parametrize("k, variant", [
+    (4, BoundVariant.OPEN_ODD),
+    (6, BoundVariant.OPEN_ODD),
+    (4, BoundVariant.CLOSED_ODD),
+    (5, BoundVariant.CHAIN1),
+])
+def test_extremal_rejects_variant_arity_mismatch(k, variant):
+    """The search accepts exactly the (variant, k) pairs that check_bound accepts."""
+    with pytest.raises(GeometryError, match=f"{variant.value} variant needs"):
+        extremal_search(k, variant)
+    with pytest.raises(GeometryError, match=f"{variant.value} variant needs"):
+        check_bound(random_unit(np.random.default_rng(0), k, 3), variant)
+
+
+# sup_estimate of the search that re-optimized each vertex by Nelder-Mead, at
+# budget (2, 40) and seeds 0-3: every seed gave the variant's cap, bit for bit
+NELDER_MEAD_SUP = {
+    (BoundVariant.TRIANGLE, 3): 6.283185307179586,
+    (BoundVariant.CHAIN1, 3): 6.283185307179586,
+    (BoundVariant.CHAIN2, 4): 6.283185307179586,
+    (BoundVariant.CLOSED_ODD, 3): 6.283185307179586,
+    (BoundVariant.CLOSED_ODD, 5): 12.566370614359172,
+    (BoundVariant.CLOSED_ODD, 7): 18.84955592153876,
+    (BoundVariant.CLOSED_ODD, 9): 25.132741228718345,
+    (BoundVariant.OPEN_ODD, 3): 6.283185307179586,
+    (BoundVariant.OPEN_ODD, 5): 12.566370614359172,
+    (BoundVariant.OPEN_ODD, 7): 18.84955592153876,
+    (BoundVariant.OPEN_ODD, 9): 25.132741228718345,
+}
+
+
+@pytest.mark.parametrize("variant, k", list(NELDER_MEAD_SUP))
+@pytest.mark.parametrize("seed", range(4))
+def test_extremal_argmax_attains_sup(variant, k, seed):
+    res = extremal_search(k, variant, budget=(2, 40), rng=seed)
+    assert res.sup_estimate == NELDER_MEAD_SUP[(variant, k)]
+    chk = check_bound(res.argmax, variant)
+    assert chk.slack == pytest.approx(res.bound - res.sup_estimate, abs=1e-9)
+
+
+@pytest.mark.parametrize("variant, k", list(NELDER_MEAD_SUP))
+def test_extremal_sup_is_check_bound_of_argmax(variant, k):
+    """One restart often ends on exact antipodes, where arccos is most sensitive."""
+    for seed in range(50):
+        res = extremal_search(k, variant, budget=(1, 20), rng=seed)
+        slack = check_bound(res.argmax, variant).slack
+        assert res.bound - res.sup_estimate == pytest.approx(max(slack, 0.0), abs=EXACT)
+
+
+def _sdist(u: np.ndarray, v: np.ndarray) -> float:
+    # half-angle form: exact at antipodes, where arccos of <u, v> is not
+    return float(2.0 * np.arctan2(np.linalg.norm(u - v), np.linalg.norm(u + v)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([3, 4, 5]))
+def test_antipodal_move_is_the_per_vertex_maximum(seed, dim):
+    """Fix neighbours a, b: q = -a maximizes d(a,q) + d(q,b) and d(q,a) - d(q,b).
+
+    This is why extremal_search needs no local optimizer at a vertex.
+    """
+    a, b, q = random_unit(np.random.default_rng(seed), 3, dim)
+    cap = 2.0 * np.pi - _sdist(a, b)
+    assert _sdist(a, q) + _sdist(q, b) <= cap + EXACT
+    for top in (-a, -b):
+        assert _sdist(a, top) + _sdist(top, b) == pytest.approx(cap, abs=EXACT)
+    assert _sdist(q, a) - _sdist(q, b) <= _sdist(a, b) + EXACT
+    assert _sdist(-a, a) - _sdist(-a, b) == pytest.approx(_sdist(a, b), abs=EXACT)
 
 
 # ---------------------------------------------------------------------------
