@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -208,18 +208,17 @@ def on_curve_bound(space: SpaceForm, p, curve: PolygonalCurve,
     """Density bound for an apex on the curve: 3/2 on an edge interior,
     3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
     x = _coerce_coords(space, p)
-    case, idx = _locate_on_curve(space, x, curve, tol)
+    return _on_curve_bound_at(curve, *_locate_on_curve(space, x, curve, tol))
+
+
+def _on_curve_bound_at(curve: PolygonalCurve, case: DensityCase, idx: int) -> float:
     if case is DensityCase.ON_EDGE:
         return 1.5
-    return 1.5 - _exterior_angle_at(curve, idx) / (2.0 * math.pi)
-
-
-def _exterior_angle_at(curve: PolygonalCurve, idx: int) -> float:
-    if curve.closed:
-        return float(turning_angles(curve)[idx])
-    if idx in (0, curve.k - 1):
-        raise GeometryError("no exterior angle at an open-curve endpoint")
-    return float(turning_angles(curve)[idx - 1])
+    if not curve.closed:
+        if idx in (0, curve.k - 1):
+            raise GeometryError("no exterior angle at an open-curve endpoint")
+        idx -= 1  # open curves have turning angles at interior vertices only
+    return 1.5 - float(turning_angles(curve)[idx]) / (2.0 * math.pi)
 
 
 def _chain_angle_on_curve(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
@@ -229,16 +228,13 @@ def _chain_angle_on_curve(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve
     Segments through the apex project to single points and contribute no
     length; the remaining segments contribute their subtended apex angles.
     """
-    total = 0.0
-    k = curve.k
-    for s in range(curve.n_segments):
-        if case is DensityCase.ON_EDGE and s == idx:
-            continue
-        if case is DensityCase.AT_VERTEX and (s == idx or (s + 1) % k == idx):
-            continue
-        a, b = curve.segment(s)
-        total += float(vertex_angle_arrays(space, x, a, b))
-    return total
+    s = np.arange(curve.n_segments)
+    keep = s != idx
+    if case is DensityCase.AT_VERTEX:
+        keep &= (s + 1) % curve.k != idx
+    s = s[keep]
+    v = curve.vertices
+    return float(np.sum(vertex_angle_arrays(space, x, v[s], v[(s + 1) % curve.k])))
 
 
 def density_report(space: SpaceForm, p, curve: PolygonalCurve,
@@ -248,10 +244,7 @@ def density_report(space: SpaceForm, p, curve: PolygonalCurve,
     if point_curve_distance(space, x, curve) < tol:
         case, idx = _locate_on_curve(space, x, curve, tol)
         angle = _chain_angle_on_curve(space, x, curve, case, idx)
-        if case is DensityCase.ON_EDGE:
-            bound = 1.5
-        else:
-            bound = 1.5 - _exterior_angle_at(curve, idx) / (2.0 * math.pi)
+        bound = _on_curve_bound_at(curve, case, idx)
     else:
         case = DensityCase.OFF_CURVE
         angle = cone_angle(space, x, curve)
@@ -305,70 +298,51 @@ def hull_sample(space: SpaceForm, vertices: np.ndarray, n: int, rng=0,
 # ---------------------------------------------------------------------------
 
 
-def _euclid_meb(points: np.ndarray) -> tuple[np.ndarray, float]:
-    """Exact smallest enclosing Euclidean ball of a small point set.
-
-    Welzl-style support-set enumeration: the optimal ball is determined by
-    a subset of at most dim+1 points lying on its boundary.
-    """
-    pts = np.atleast_2d(points)
-    npts, d = pts.shape
-    best_r = np.inf
-    best_c = pts[0].copy()
-    for size in range(1, min(npts, d + 1) + 1):
-        for subset in combinations(range(npts), size):
-            s = pts[list(subset)]
-            base = s[0]
-            if size == 1:
-                c = base.copy()
-            else:
-                # solve for the circumcenter inside the subset's affine hull:
-                # work relative to base so the min-norm solution lies in
-                # span(s_i - base), i.e. c = base + y is in aff(subset)
-                a = 2.0 * (s[1:] - base)
-                b = np.sum((s[1:] - base) ** 2, axis=-1)
-                y, *_ = np.linalg.lstsq(a, b, rcond=None)
-                if np.linalg.norm(a @ y - b) > 1e-9 * (1.0 + np.linalg.norm(b)):
-                    continue
-                c = base + y
-            rc = float(np.linalg.norm(base - c))
-            rmax = float(np.max(np.linalg.norm(pts - c, axis=-1)))
-            if rmax > rc + 1e-12 * (1.0 + rc):
-                continue
-            if rmax < best_r:
-                best_r = rmax
-                best_c = c
-    return best_c, best_r
-
-
-def min_enclosing_ball(space: SpaceForm, points: np.ndarray,
-                       tol: float = 1e-9, max_iter: int = 200) -> tuple[np.ndarray, float]:
+def min_enclosing_ball(space: SpaceForm, points: np.ndarray) -> tuple[np.ndarray, float]:
     """Smallest geodesic ball containing the points (sphere kind).
 
-    Iterates an exact Euclidean enclosing-ball solve in the stereographic
-    chart with geodesic re-centering until the center moves less than tol.
-    Returns (center in space.model coords, geodesic radius).
+    For unit vectors in an open hemisphere, max over unit c of min_i <c, p_i>
+    equals min over x in conv(P) of |x| (Gilbert 1966, Wolfe 1976), so the
+    smallest cap has centre x*/|x*| and radius arccos |x*|, where x* is the
+    min-norm point of the hull of the embedded points in R^n.  x* is the
+    min-norm point of the affine hull of some subset of at most n + 1 points
+    with nonnegative weights, and every subset with nonnegative weights gives
+    a point of conv(P), so x* is the least of them: no optimality test.  Each
+    subset is solved relative to its first point: x = p0 + y with y = D^T mu
+    and D y = -D p0, D = P_S[1:] - p0.  For unit points -D p0 is |D|^2/2 row
+    by row, which the difference rows give to full relative precision where
+    the dot products lose it on small caps.  Returns (center in space.model
+    coords, geodesic radius max_i d(center, p_i)); raises GeometryError when
+    the points lie in no open hemisphere (x* = 0).
     """
     if space.kind is not Kind.SPHERE:
         raise GeometryError("min_enclosing_ball is implemented for the sphere")
-    p = np.atleast_2d(np.asarray(points, dtype=float))
-    pc = embed(space, p)
-    c = pc.mean(axis=0)
-    nc = np.linalg.norm(c)
-    c = c / nc if nc > 1e-12 else embed(space, p[0])
-    chart_space = space.with_model(Model.STEREO_BALL)
-    for _ in range(max_iter):
-        iso = base_point_isometry(space.canonical, c)
-        moved = iso.apply(pc)
-        u = unembed(chart_space, moved)
-        u_center, _ = _euclid_meb(u)
-        if np.linalg.norm(u_center) < tol:
-            break
-        new_c = iso.inverse().apply(embed(chart_space, u_center))
-        c = new_c
-    center_model = unembed(space, c)
+    pc = embed(space, np.atleast_2d(np.asarray(points, dtype=float)))
+    k, n = pc.shape
+    best = pc[0]
+    for size in range(2, min(k, n + 1) + 1):
+        subsets = combinations(range(k), size)
+        while chunk := list(islice(subsets, 4096)):  # bounded memory on long curves
+            sub = pc[chunk]
+            d = sub[:, 1:] - sub[:, :1]
+            b = 0.5 * np.einsum("sji,sji->sj", d, d)
+            pinv = np.linalg.pinv(d)
+            y = np.einsum("sij,sj->si", pinv, b)
+            mu = np.einsum("sij,si->sj", pinv, y)
+            x = sub[:, 0] + y
+            resid = np.linalg.norm(np.einsum("sji,si->sj", d, y) - b, axis=-1)
+            ok = (np.all(mu >= 0.0, axis=-1) & (np.sum(mu, axis=-1) <= 1.0)
+                  & (resid <= 1e-9 * np.linalg.norm(b, axis=-1)))
+            norms = np.where(ok, np.linalg.norm(x, axis=-1), np.inf)
+            i = int(np.argmin(norms))
+            if norms[i] < np.linalg.norm(best):
+                best = x[i]
+    nb = np.linalg.norm(best)  # cos(radius)
+    if nb < 1e-12:
+        raise GeometryError("points lie in no open hemisphere")
+    c = best / nb
     radius = float(np.max(_dist_can(Kind.SPHERE, c[None, :], pc)))
-    return center_model, radius
+    return unembed(space, c), radius
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +372,16 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
         raise GeometryError("certification expects a closed curve of >= 3 segments")
     preconditions = ["boundary curve is simple (validated)"]
     if space.kind is Kind.SPHERE:
-        _, radius = min_enclosing_ball(space, curve.vertices)
+        try:
+            # canonical coords: the only GeometryError left is the hemisphere one
+            _, radius = min_enclosing_ball(space.canonical, embed(space, curve.vertices))
+        except GeometryError:
+            return Certificate(CertVerdict.INCONCLUSIVE, 0, None, preconditions, reason=(
+                "vertices lie in no open hemisphere: no geodesic ball of radius < pi/2,"
+                " so none of radius < pi/4, contains them"))
         if radius >= SPHERE_BALL_LIMIT:
-            return Certificate(
-                CertVerdict.INCONCLUSIVE,
-                0,
-                None,
-                preconditions,
-                reason=f"enclosing geodesic ball radius {radius:.6f} >= pi/4",
-            )
+            return Certificate(CertVerdict.INCONCLUSIVE, 0, None, preconditions,
+                               reason=f"enclosing geodesic ball radius {radius:.6f} >= pi/4")
         preconditions.append(f"enclosing geodesic ball radius {radius:.6f} < pi/4")
 
     samples = hull_sample(space, curve.vertices, n_samples, rng=rng)

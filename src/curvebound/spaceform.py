@@ -28,7 +28,6 @@ from .errors import (
     NumericalError,
 )
 
-DEFAULT_TOL = 1e-9
 ANTIPODAL_TOL = 1e-8
 CLAMP_TOL = 1e-9
 

@@ -22,7 +22,6 @@ from .polycurve import PolygonalCurve, total_curvature, validate
 from .spaceform import SpaceForm, as_rng
 
 FLAG_TOL = 1e-8  # antipodal / great-circle detection
-EQUALITY_SLACK = 1e-6
 
 
 class BoundVariant(str, Enum):
@@ -112,10 +111,10 @@ def _length_theta(p: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(segs, axis=-1), theta
 
 
-def check_bound(points, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> BoundCheck:
+def check_bound(points, variant: BoundVariant) -> BoundCheck:
     """Measure a configuration's length against its variant bound."""
     p = _check_unit(points)
-    out = check_bound_batch(p[None], variant, flag_tol)
+    out = check_bound_batch(p[None], variant)
     theta = None if out["theta"] is None else float(out["theta"][0])
     flags = EqualityFlags(
         antipodal_pair=bool(out["antipodal_pair"][0]),
@@ -125,11 +124,11 @@ def check_bound(points, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> Bo
                       theta, float(out["slack"][0]), flags)
 
 
-def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float = FLAG_TOL) -> dict:
+def check_bound_batch(points: np.ndarray, variant: BoundVariant) -> dict:
     """Measure a batch (B, k, n) of unit-vector polygons against the variant bound.
 
     Equality flags: an antipodal vertex pair, and all vertices on one great
-    circle (third singular value below flag_tol).
+    circle (third singular value below FLAG_TOL).
     """
     p = np.asarray(points, dtype=float)
     b, k, n = p.shape
@@ -140,10 +139,10 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant, flag_tol: float
     antipodal = np.zeros(b, dtype=bool)
     for i in range(k):
         for j in range(i + 1, k):
-            antipodal |= np.linalg.norm(p[:, i] + p[:, j], axis=-1) < flag_tol
+            antipodal |= np.linalg.norm(p[:, i] + p[:, j], axis=-1) < FLAG_TOL
     if n > 2:
         sv = np.linalg.svd(p, compute_uv=False)
-        coplanar = sv[:, 2] < flag_tol
+        coplanar = sv[:, 2] < FLAG_TOL
     else:
         coplanar = np.ones(b, dtype=bool)
     return {

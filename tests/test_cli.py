@@ -267,6 +267,17 @@ def test_certify_pentagon_and_trefoil(capsys, pentagon_file, trefoil_file):
     assert rep["results"]["worst"]["density"] >= 2.0
 
 
+def test_certify_vertices_in_no_open_hemisphere(capsys, tmp_path):
+    t = 2.0 * np.pi * np.arange(5) / 5.0
+    verts = np.stack([np.cos(t), np.sin(t), np.zeros(5)], axis=1)
+    path = write_json(tmp_path, "equator.json", {
+        "space": "sphere", "dim": 2, "closed": True, "vertices": verts.tolist()})
+    code, rep, _ = run_json(capsys, ["certify", path, "--budget", "50"])
+    assert code == 2
+    assert rep["results"]["verdict"] == "Inconclusive"
+    assert "no open hemisphere" in rep["results"]["reason"]
+
+
 def test_mobius_vol_circle(capsys, circle_file):
     code, rep, _ = run_json(capsys, ["mobius-vol", circle_file, "--budget", "2,50"])
     assert code == 0

@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from curvebound import (
     CertVerdict,
     DensityCase,
     GeometryError,
+    Kind,
     Model,
     OnCurveError,
     PolygonalCurve,
@@ -24,10 +25,17 @@ from curvebound import (
     random_isometry,
     unembed,
     validate,
+    vertex_angle,
 )
 from curvebound import cone
 
-from conftest import curved_frame, euclidean_curve, exp_can, random_simple_polygons
+from conftest import (
+    curved_frame,
+    euclidean_curve,
+    exp_can,
+    random_simple_polygons,
+    random_unit,
+)
 
 DUAL_ROUTE_TOL = 1e-6
 
@@ -195,6 +203,29 @@ def test_square_corner_density():
     assert rep.margin == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.sphere(3)],
+                         ids=["E3", "S3"])
+def test_on_curve_chain_angle_matches_segment_loop(space, closed, rng):
+    """The one-call chain angle against a per-segment sum that skips the
+    segments through the apex; nine vertices take numpy's sum past its
+    eight-term sequential block, so only the order of the terms differs."""
+    verts = random_simple_polygons(rng, 1, k=9)[0]
+    if space.kind is Kind.SPHERE:
+        verts = np.concatenate([0.2 * verts, np.ones((9, 1))], axis=1)
+        verts /= np.linalg.norm(verts, axis=-1, keepdims=True)
+    curve = PolygonalCurve(space, verts, closed=closed)
+    edge_point = geodesic_point(space, verts[5], verts[6], 0.3).coords
+    for x, case, skip in ((verts[3], DensityCase.AT_VERTEX, {2, 3}),
+                          (edge_point, DensityCase.ON_EDGE, {5})):
+        rep = density_report(space, x, curve)
+        assert rep.case is case
+        want = sum(vertex_angle(space, x, *curve.segment(s))
+                   for s in range(curve.n_segments) if s not in skip)
+        assert rep.angle == pytest.approx(want, rel=0.0, abs=1e-13)
+        assert rep.bound_applied == on_curve_bound(space, x, curve)
+
+
 def test_on_curve_bound_rejects_off_curve_point():
     with pytest.raises(GeometryError):
         on_curve_bound(SpaceForm.euclidean(3), np.array([5.0, 5.0, 5.0]), unit_square())
@@ -285,6 +316,79 @@ def test_meb_two_points():
 def test_meb_requires_sphere():
     with pytest.raises(GeometryError):
         min_enclosing_ball(SpaceForm.euclidean(3), np.eye(3))
+
+
+def cap_pentagons(rng, count):
+    """Pentagons in S^3 (canonical coords) about random centres, with cap
+    radii spread log-uniformly over 1e-5 .. 1.2."""
+    out = []
+    for r in np.geomspace(1e-5, 1.2, count):
+        c = random_unit(rng, 1, 4)[0]
+        u = rng.standard_normal((5, 4))
+        u -= np.outer(u @ c, c)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        rho = r * rng.uniform(0.3, 1.0, (5, 1))
+        out.append(np.cos(rho) * c + np.sin(rho) * u)
+    return out
+
+
+def nnls_cap_lower_bound(p):
+    """arccos |x| for a point x of conv(p) found without the cap code.
+
+    nnls solves [P^T; M 1^T] lam ~ [0; M] with lam >= 0.  The objective is
+    homogeneous in lam apart from the sum row, so lam / sum(lam) is the
+    min-norm point's weights; any hull point has |x| >= |x*| = cos(radius),
+    so the result bounds the smallest cap radius from below (up to the
+    rounding of arccos near 1: about 1e-16 / sin(radius)).
+    """
+    m = 100.0
+    a = np.vstack([p.T, np.full((1, len(p)), m)])
+    lam, _ = nnls(a, np.r_[np.zeros(p.shape[1]), m])
+    x = p.T @ (lam / lam.sum())
+    return float(np.arccos(min(np.linalg.norm(x), 1.0)))
+
+
+@pytest.mark.parametrize("model", [Model.UNIT_SPHERE, Model.STEREO_BALL])
+def test_meb_closes_the_nnls_duality_gap(model, rng):
+    space = SpaceForm.sphere(3, model)
+    for p in cap_pentagons(rng, 60):
+        center, radius = min_enclosing_ball(space, unembed(space, p))
+        assert center.shape == (space.ambient_dim,)
+        gap = radius - nnls_cap_lower_bound(p)
+        assert -1e-10 <= gap <= 1e-9
+
+
+def test_meb_is_isometry_invariant(rng):
+    space = SpaceForm.sphere(3)
+    for p in cap_pentagons(rng, 30):
+        center, radius = min_enclosing_ball(space, p)
+        iso = random_isometry(space, rng)
+        moved_center, moved_radius = min_enclosing_ball(space, iso.apply(p))
+        assert moved_radius == pytest.approx(radius, rel=1e-12, abs=1e-15)
+        assert moved_center == pytest.approx(iso.apply(center), abs=1e-9)
+
+
+def equatorial_pentagon():
+    t = 2.0 * np.pi * np.arange(5) / 5.0
+    return np.stack([np.cos(t), np.sin(t), np.zeros(5)], axis=1)
+
+
+def regular_tetrahedron():
+    return np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / np.sqrt(3.0)
+
+
+@pytest.mark.parametrize("verts", [equatorial_pentagon(), regular_tetrahedron()],
+                         ids=["equatorial_pentagon", "tetrahedron"])
+def test_meb_no_open_hemisphere(verts):
+    """Both vertex sets contain 0 in their hull: the smallest cap has radius
+    pi/2 (pentagon) or more (tetrahedron), so there is no centre to report."""
+    space = SpaceForm.sphere(2)
+    with pytest.raises(GeometryError, match="no open hemisphere"):
+        min_enclosing_ball(space, verts)
+    cert = certify_embedded(space, PolygonalCurve(space, verts), n_samples=50)
+    assert cert.verdict is CertVerdict.INCONCLUSIVE
+    assert cert.n_samples == 0
+    assert "no open hemisphere" in cert.reason and "pi/4" in cert.reason
 
 
 # ---------------------------------------------------------------------------

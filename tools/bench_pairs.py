@@ -41,8 +41,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def src_dirty(checkout: Path) -> bool:
     out = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout,
-                         capture_output=True, text=True, check=True).stdout
-    return bool(out.strip())
+                         capture_output=True, text=True)
+    if out.returncode:
+        raise SystemExit(f"{checkout}: git status failed: {out.stderr.strip()}")
+    return bool(out.stdout.strip())
 
 
 def spread(values: list[float]) -> dict:
@@ -86,6 +88,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench_spec = json.loads((sides["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench_spec["run_seconds"]
+    # before the first pair: a checkout that is not a git work tree fails here
+    dirty = {side: src_dirty(path) for side, path in sides.items()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -106,7 +110,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "blas_threads": change_meta["blas_threads"],
         "commits": {side: {"git_sha": runs[side][0]["meta"]["git_sha"],
-                           "src_dirty": src_dirty(path)} for side, path in sides.items()},
+                           "src_dirty": dirty[side]} for side in sides},
         "summary": summarise(runs, better),
         "by_kind_p50_ms": {side: by_kind(rs) for side, rs in runs.items()},
         "pairs": pairs,
