@@ -23,6 +23,9 @@ PARAM_TOL = 1e-9
 COINCIDENCE_TOL = 1e-9
 DEPTH_TOL = 1e-9
 
+_PAIR_FAILURES = ("near-parallel overlapping segment images",
+                  "crossing too close to a vertex image", "crossing depths not separated")
+
 
 @dataclass
 class Crossing:
@@ -72,112 +75,89 @@ def project(curve: PolygonalCurve, direction) -> Diagram:
     ref = np.array([0.0, 0.0, 1.0]) if abs(d[2]) < 0.9 else np.array([1.0, 0.0, 0.0])
     e1 = ref - np.dot(ref, d) * d
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(d, e1)
+    e2 = np.array([d[1] * e1[2] - d[2] * e1[1], d[2] * e1[0] - d[0] * e1[2],
+                   d[0] * e1[1] - d[1] * e1[0]])   # d x e1
 
     v = curve.vertices
     k = curve.k
+    idx = np.arange(k)
+    nxt = (idx + 1) % k
     p2 = v @ np.stack([e1, e2], axis=-1)   # (k, 2) plane images
     depth = v @ d
+    rise = depth[nxt] - depth
     scale = float(np.max(np.ptp(p2, axis=0))) or 1.0
 
-    seg2 = np.roll(p2, -1, axis=0) - p2
+    seg2 = p2[nxt] - p2
     len2 = np.linalg.norm(seg2, axis=-1)
-    len3 = np.linalg.norm(np.roll(v, -1, axis=0) - v, axis=-1)
+    len3 = np.linalg.norm(v[nxt] - v, axis=-1)
     if np.any(len2 < PARALLEL_TOL * len3):
         raise ConstructionError("a segment is nearly parallel to the direction")
 
-    for j in range(k):
-        a, b, u = p2[j], p2[(j + 1) % k], seg2[j]
-        for i in range(k):
-            if i in (j, (j + 1) % k):
-                continue
-            t = np.clip(np.dot(p2[i] - a, u) / np.dot(u, u), 0.0, 1.0)
-            if np.linalg.norm(a + t * u - p2[i]) < COINCIDENCE_TOL * scale:
-                raise ConstructionError("a vertex image lies on a segment image")
+    off = idx - idx[:, None]   # off[a, b] = b - a
+    gap = _seg2d_gap(p2[:, None], p2, seg2)   # vertex a against segment b
+    if np.any(gap[(off % k > 0) & (off % k < k - 1)] < COINCIDENCE_TOL * scale):
+        raise ConstructionError("a vertex image lies on a segment image")
 
-    crossings_raw = []   # (seg_i, s, seg_j, t, depth_i, depth_j)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if j == i + 1 or (i == 0 and j == k - 1):
-                continue
-            p, u = p2[i], seg2[i]
-            q, w = p2[j], seg2[j]
-            det = u[0] * w[1] - u[1] * w[0]
-            r = q - p
-            if abs(det) < 1e-12 * len2[i] * len2[j]:
-                if _seg2d_distance(p, p + u, q, q + w) < COINCIDENCE_TOL * scale:
-                    raise ConstructionError("near-parallel overlapping segment images")
-                continue
-            s = (r[0] * w[1] - r[1] * w[0]) / det
-            t = (r[0] * u[1] - r[1] * u[0]) / det
-            if not (-PARAM_TOL < s < 1.0 + PARAM_TOL and -PARAM_TOL < t < 1.0 + PARAM_TOL):
-                continue
-            if min(s, 1.0 - s, t, 1.0 - t) < PARAM_TOL:
-                raise ConstructionError("crossing too close to a vertex image")
-            di = depth[i] + s * (depth[(i + 1) % k] - depth[i])
-            dj = depth[j] + t * (depth[(j + 1) % k] - depth[j])
-            if abs(di - dj) < DEPTH_TOL * scale:
-                raise ConstructionError("crossing depths not separated")
-            crossings_raw.append((i, s, j, t, di, dj))
-
-    by_segment: dict[int, list[float]] = {}
-    for i, s, j, t, _, _ in crossings_raw:
-        by_segment.setdefault(i, []).append(s)
-        by_segment.setdefault(j, []).append(t)
-    for params in by_segment.values():
-        params.sort()
-        for a, b in zip(params[:-1], params[1:]):
-            if b - a < PARAM_TOL:
-                raise ConstructionError("triple point in projection")
-
-    n = len(crossings_raw)
+    # segment pairs i < j that share no vertex, in lexicographic order: the
+    # first pair that fails a check names the failure
+    i, j = np.nonzero((off > 1) & (off < k - 1))
+    p, u, q, w = p2[i], seg2[i], p2[j], seg2[j]
+    r = q - p
+    det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    parallel = np.abs(det) < 1e-12 * len2[i] * len2[j]
+    with np.errstate(divide="ignore", invalid="ignore"):   # det ~ 0 on parallel pairs
+        s = (r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0]) / det
+        t = (r[:, 0] * u[:, 1] - r[:, 1] * u[:, 0]) / det
+        di = depth[i] + s * rise[i]
+        dj = depth[j] + t * rise[j]
+        unseparated = np.abs(di - dj) < DEPTH_TOL * scale
+    crossing = (~parallel & (-PARAM_TOL < s) & (s < 1.0 + PARAM_TOL)
+                & (-PARAM_TOL < t) & (t < 1.0 + PARAM_TOL))
+    overlap = np.zeros_like(parallel)
+    if parallel.any():   # each endpoint against the other segment of the pair
+        ends = np.stack([p, p + u, q, q + w])[:, parallel]
+        starts = ends[[2, 2, 0, 0]]
+        apart = _seg2d_gap(ends, starts, ends[[3, 3, 1, 1]] - starts, 1e-30).min(axis=0)
+        overlap[parallel] = apart < COINCIDENCE_TOL * scale
+    near_vertex = np.minimum(np.minimum(s, 1.0 - s), np.minimum(t, 1.0 - t)) < PARAM_TOL
+    failures = np.stack([overlap, crossing & near_vertex, crossing & unseparated])
+    if failures.any():
+        pair = failures.any(axis=0).argmax()
+        raise ConstructionError(_PAIR_FAILURES[failures[:, pair].argmax()])
+    n = int(crossing.sum())
     if n == 0:
         return Diagram([], 0, [])
 
-    # traversal positions: (segment, parameter); under-passages cut the arcs
-    unders = []   # (position, crossing_id)
-    overs = []    # (position, crossing_id)
-    for cid, (i, s, j, t, di, dj) in enumerate(crossings_raw):
-        if di > dj:
-            overs.append(((i, s), cid))
-            unders.append(((j, t), cid))
-        else:
-            overs.append(((j, t), cid))
-            unders.append(((i, s), cid))
-    unders.sort(key=lambda e: e[0])
-    under_pos = [e[0] for e in unders]
+    # each crossing's over- and under-passage as a (segment, parameter) position
+    passes = [((a, sa), (b, sb)) if da > db else ((b, sb), (a, sa)) for a, sa, b, sb, da, db
+              in zip(*(x[crossing].tolist() for x in (i, s, j, t, di, dj)))]
+    events = sorted([(over, cid, 1) for cid, (over, _) in enumerate(passes)]
+                    + [(under, cid, -1) for cid, (_, under) in enumerate(passes)])
+    for (pa, _, _), (pb, _, _) in zip(events, events[1:]):
+        if pa[0] == pb[0] and pb[1] - pa[1] < PARAM_TOL:
+            raise ConstructionError("triple point in projection")
 
-    def arc_of(pos) -> int:
-        # arc a runs from under event a to under event a+1 (cyclically)
-        idx = bisect_right(under_pos, pos) - 1
-        return idx % n
-
+    # arc a runs from under-passage a to under-passage a + 1 (cyclically)
+    under_pos = [pos for pos, _, sign in events if sign < 0]
     crossings = []
-    for cid, (i, s, j, t, di, dj) in enumerate(crossings_raw):
-        over_pos, under_pos_c = ((i, s), (j, t)) if di > dj else ((j, t), (i, s))
-        a = under_pos.index(under_pos_c)
-        under_out = a
-        under_in = (a - 1) % n
-        over_arc = arc_of(over_pos)
-        useg = under_pos_c[0]
-        oseg = over_pos[0]
-        cross_z = seg2[oseg][0] * seg2[useg][1] - seg2[oseg][1] * seg2[useg][0]
-        crossings.append(Crossing(over_arc, under_in, under_out, 1 if cross_z > 0 else -1))
-
-    events = sorted(
-        [(pos, cid, 1) for pos, cid in overs] + [(pos, cid, -1) for pos, cid in unders]
-    )
-    gauss = [sign * (cid + 1) for _, cid, sign in events]
-    return Diagram(crossings, n, gauss)
+    for (oseg, opar), (useg, upar) in passes:
+        a = under_pos.index((useg, upar))
+        cross_z = seg2[oseg, 0] * seg2[useg, 1] - seg2[oseg, 1] * seg2[useg, 0]
+        crossings.append(Crossing((bisect_right(under_pos, (oseg, opar)) - 1) % n,
+                                  (a - 1) % n, a, 1 if cross_z > 0 else -1))
+    return Diagram(crossings, n, [sign * (cid + 1) for _, cid, sign in events])
 
 
-def _seg2d_distance(a0, a1, b0, b1) -> float:
-    best = np.inf
-    for p, q, r in ((a0, b0, b1), (a1, b0, b1), (b0, a0, a1), (b1, a0, a1)):
-        u = r - q
-        t = np.clip(np.dot(p - q, u) / max(np.dot(u, u), 1e-30), 0.0, 1.0)
-        best = min(best, float(np.linalg.norm(q + t * u - p)))
-    return best
+def _dot2(x, y):
+    """Dot products over the last axis, rounded as np.dot rounds one pair."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _seg2d_gap(p, q, u, floor=0.0):
+    """Distances from plane points p to segments q + [0, 1] u, broadcast."""
+    t = np.clip(_dot2(p - q, u) / np.maximum(_dot2(u, u), floor), 0.0, 1.0)
+    x = q + t[..., None] * u - p
+    return np.sqrt(_dot2(x, x))
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +215,8 @@ def determinant(diagram: Diagram) -> int:
 
 def random_projection(curve: PolygonalCurve, rng=0, retries: int = 100) -> Diagram:
     """Project along random directions until one is generic."""
+    if retries < 1:
+        raise GeometryError("retries must be >= 1")
     rng = as_rng(rng)
     last = None
     for _ in range(retries):

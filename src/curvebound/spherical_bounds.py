@@ -124,6 +124,24 @@ def check_bound(points, variant: BoundVariant) -> BoundCheck:
                       theta, float(out["slack"][0]), flags)
 
 
+def _great_circle_candidates(p: np.ndarray) -> np.ndarray:
+    """Rows of a (B, k, 3) batch whose third singular value may lie below FLAG_TOL.
+
+    A row is dropped when one of its k cyclically consecutive vertex triples
+    (one triple when k == 3) has |det T| > |T|_F^2 FLAG_TOL: a factor 2 above
+    the exact bound, as a rounding margin.  NaN rows stay candidates, so the
+    SVD still rejects them.
+    """
+    k = p.shape[1]
+    idx = np.arange(1 if k == 3 else k)
+    a, b, c = (p[:, (idx + s) % k] for s in range(3))
+    # any three rows T of P: sigma_3(T) <= sigma_3(P) (interlacing) and |det T| <=
+    # (|T|_F^2 / 2) sigma_3(T), so sigma_3(P) < FLAG_TOL needs |det T| < |T|_F^2 FLAG_TOL / 2
+    frob = np.sum(a * a + b * b + c * c, axis=-1)
+    det = np.sum(a * np.cross(b, c), axis=-1)
+    return ~np.any(np.abs(det) > frob * FLAG_TOL, axis=1)
+
+
 def check_bound_batch(points: np.ndarray, variant: BoundVariant) -> dict:
     """Measure a batch (B, k, n) of unit-vector polygons against the variant bound.
 
@@ -140,11 +158,10 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant) -> dict:
     for i in range(k):
         for j in range(i + 1, k):
             antipodal |= np.linalg.norm(p[:, i] + p[:, j], axis=-1) < FLAG_TOL
+    coplanar = np.full(b, n <= 2)
     if n > 2:
-        sv = np.linalg.svd(p, compute_uv=False)
-        coplanar = sv[:, 2] < FLAG_TOL
-    else:
-        coplanar = np.ones(b, dtype=bool)
+        rows = _great_circle_candidates(p) if n == 3 else slice(None)
+        coplanar[rows] = np.linalg.svd(p[rows], compute_uv=False)[:, 2] < FLAG_TOL
     return {
         "measured": measured,
         "bound": bound,

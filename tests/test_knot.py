@@ -13,6 +13,7 @@ from curvebound import (
     determinant,
     granny_curve,
     hexagonal_trefoil,
+    knot,
     knot_determinant,
     project,
     random_projection,
@@ -21,6 +22,7 @@ from curvebound import (
 
 from conftest import euclidean_curve, random_simple_polygons
 from goeritz_oracle import checkerboard_determinant
+from project_loop import loop_project
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -172,3 +174,116 @@ def test_random_projection_driver(rng):
     dia = random_projection(granny_curve(), rng=4)
     assert determinant(dia) == 9
     assert len(dia.crossings) >= 6
+
+
+def test_random_projection_rejects_zero_retries():
+    with pytest.raises(GeometryError, match="retries must be >= 1"):
+        random_projection(hexagonal_trefoil(), retries=0)
+    with pytest.raises(GeometryError, match="retries must be >= 1"):
+        knot_determinant(hexagonal_trefoil(), retries=-1)
+
+
+# ---------------------------------------------------------------------------
+# the vectorized projection against the per-pair loops it replaced
+# ---------------------------------------------------------------------------
+
+
+def _outcome(fn, curve, direction):
+    try:
+        return fn(curve, direction)
+    except ConstructionError as exc:
+        return str(exc)
+
+
+def _degenerate_projections():
+    """(curve, direction, message) reaching each of project's six failures."""
+    trefoil = hexagonal_trefoil()
+    # a crossing 0.85e-9 along the diagonal segment 0 -> 1 of the unit square:
+    # the parameter is below PARAM_TOL while vertex 0 stays 1.2e-9 off the
+    # crossing segment 3 -> 4, above COINCIDENCE_TOL * scale
+    c = 0.85e-9
+    near = np.array([[0, 0, 0], [1, 1, 0], [1, 0.5, 0.3], [c - 0.01, c + 0.01, 0.6],
+                     [c + 0.01, c - 0.01, 0.9], [0.6, 0.1, 0.4]])
+    # segments 0 and 2 now cross at equal depth as well: pair (0, 2) comes
+    # before pair (0, 3); after a cyclic shift by 3 the near-vertex pair is first
+    flat = near.copy()
+    flat[2:4, 2] = 0.0
+    # three segment images through the origin
+    angles = (0.0, np.pi / 3, 2 * np.pi / 3)
+    star = [[sign * np.cos(a), sign * np.sin(a), n]
+            for n, a in enumerate(angles) for sign in (1.0, -1.0)]
+    # segment images 0 and 3 are parallel, with vertex 4 at 3.4e-17 beyond
+    # COINCIDENCE_TOL * scale = 1.95e-8 from segment 0: the vertex check
+    # measures vertex 4 itself, the pair check its rounded copy 3 + (4 - 3),
+    # which lands 1.5e-17 inside
+    overlap = [[0.0, 0.0, 0.0], [1.0, 0.5171212264929015, 0.1],
+               [1.5, -9.224318160260648, 0.2], [2.698512391584905, 1.3954580596049204, 0.3],
+               [0.548978859331253, 0.28388864301829314, 0.4],
+               [0.548978859331253, 10.283888621056052, 0.5]]
+    return [
+        (trefoil, trefoil.vertices[1] - trefoil.vertices[0],
+         "a segment is nearly parallel to the direction"),
+        (euclidean_curve([[0, 0, 0], [2, 0, 1], [2, 2, 0], [1, 0, -1]]), Z_AXIS,
+         "a vertex image lies on a segment image"),
+        (euclidean_curve(overlap), Z_AXIS, "near-parallel overlapping segment images"),
+        (euclidean_curve(near), Z_AXIS, "crossing too close to a vertex image"),
+        (euclidean_curve(flat), Z_AXIS, "crossing depths not separated"),
+        (euclidean_curve(np.roll(flat, 3, axis=0)), Z_AXIS,
+         "crossing too close to a vertex image"),
+        (euclidean_curve([[0, 0, 0], [2, 2, 0], [2, 0, 0], [0, 2, 0]]), Z_AXIS,
+         "crossing depths not separated"),
+        (euclidean_curve(star), Z_AXIS, "triple point in projection"),
+    ]
+
+
+def test_project_reaches_each_failure_in_loop_order():
+    for curve, direction, message in _degenerate_projections():
+        assert _outcome(loop_project, curve, direction) == message
+        assert _outcome(project, curve, direction) == message
+
+
+def _aimed_direction(rng, verts):
+    """A direction nearly through a vertex and a point of another segment."""
+    k = len(verts)
+    a, b = rng.choice(k, 2, replace=False)
+    d = verts[a] - verts[b] - rng.uniform() * (verts[(b + 1) % k] - verts[b])
+    return d / np.linalg.norm(d) + 10.0 ** rng.uniform(-13, -6) * rng.standard_normal(3)
+
+
+def test_project_matches_pairwise_loops(rng):
+    """3000 random and aimed (curve, direction) pairs: equal diagrams or messages."""
+    cases = []
+    for k in range(4, 10):
+        polys = random_simple_polygons(rng, 400, k)
+        cases += [(euclidean_curve(v), rng.standard_normal(3)) for v in polys[:250]]
+        cases += [(euclidean_curve(v), _aimed_direction(rng, v)) for v in polys[250:]]
+    for curve in (hexagonal_trefoil(), granny_curve()):
+        cases += [(curve, rng.standard_normal(3)) for _ in range(200)]
+        cases += [(curve, _aimed_direction(rng, curve.vertices)) for _ in range(100)]
+    outcomes = []
+    for curve, d in cases:
+        expected = _outcome(loop_project, curve, d)
+        assert _outcome(project, curve, d) == expected
+        outcomes.append(expected if isinstance(expected, str) else len(expected.crossings))
+    assert len(cases) == 3000
+    assert sum(isinstance(o, int) and o > 0 for o in outcomes) > 1000
+    assert {o for o in outcomes if isinstance(o, str)} >= {
+        "a segment is nearly parallel to the direction",
+        "a vertex image lies on a segment image",
+    }
+
+
+def test_criterion_12_retries_unchanged(monkeypatch):
+    """The criterion-12 pentagons draw as many directions as under the loop."""
+    verts = random_simple_polygons(np.random.default_rng(112), 2000)
+    counts = {}
+    for name, fn in (("loop", loop_project), ("vectorized", project)):
+        calls = []
+        monkeypatch.setattr(knot, "project", lambda c, d, fn=fn: calls.append(1) or fn(c, d))
+        dets = []
+        for i, v in enumerate(verts):
+            before = len(calls)
+            dets.append((knot_determinant(euclidean_curve(v), rng=i), len(calls) - before))
+        counts[name] = dets
+    assert counts["vectorized"] == counts["loop"]
+    assert {det for det, _ in counts["loop"]} == {1}

@@ -16,6 +16,7 @@ from curvebound import (
     total_curvature,
     validate,
 )
+from curvebound.spherical_bounds import FLAG_TOL
 
 from conftest import random_unit
 
@@ -168,6 +169,49 @@ def test_batch_matches_scalar_chain2(rng):
 def test_batch_matches_scalar_open(rng):
     for variant, k in ((BoundVariant.CHAIN1, 3), (BoundVariant.OPEN_ODD, 7)):
         _assert_batch_matches_scalar(rng, variant, k, 20)
+
+
+def _near_great_circle(rng, count, k, n):
+    """Rows on a random great circle, tilted out of its plane by a third
+    singular value of about 10**U(-10, -6), then renormalized."""
+    t = rng.uniform(0.0, 2.0 * np.pi, (count, k))
+    coords = np.zeros((count, k, n))
+    coords[..., 0], coords[..., 1] = np.cos(t), np.sin(t)
+    tilt = 10.0 ** rng.uniform(-10.0, -6.0, (count, 1, 1))
+    coords[..., 2:] = tilt * rng.standard_normal((count, k, n - 2))
+    frames = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+    p = coords @ np.swapaxes(frames, -1, -2)
+    return p / np.linalg.norm(p, axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("variant, k", [
+    (BoundVariant.TRIANGLE, 3), (BoundVariant.CLOSED_ODD, 5), (BoundVariant.CLOSED_ODD, 7),
+    (BoundVariant.CHAIN2, 4), (BoundVariant.OPEN_ODD, 5),
+])
+def test_great_circle_flag_matches_full_svd(rng, variant, k, n):
+    """The triple-product screen in front of the SVD drops no flagged row, and
+    no output depends on which other rows share the batch."""
+    p = np.concatenate([_near_great_circle(rng, 400, k, n), random_unit(rng, 200 * k, n)
+                        .reshape(200, k, n)])
+    p = p[rng.permutation(len(p))]
+    out = check_bound_batch(p, variant)
+    sigma3 = np.linalg.svd(p, compute_uv=False)[:, 2]
+    assert np.array_equal(out["great_circle"], sigma3 < FLAG_TOL)
+    assert 50 < out["great_circle"].sum() < 350   # the planted values straddle FLAG_TOL
+    for i in range(0, len(p), 7):
+        row = check_bound_batch(p[i:i + 1], variant)
+        for key, value in out.items():
+            assert (value is None) == (row[key] is None)
+            if value is not None:
+                assert value[i] == row[key][0]
+
+
+def test_nan_rows_still_reach_the_svd():
+    p = random_unit(np.random.default_rng(0), 9, 3).reshape(3, 3, 3)
+    p[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        check_bound_batch(p, BoundVariant.TRIANGLE)
 
 
 # ---------------------------------------------------------------------------

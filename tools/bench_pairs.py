@@ -12,8 +12,9 @@ change first on odd ones, and reads the results file each run writes under
 which also gives the metric directions.  The script then merges one section
 for the workload into the output file: the per-pair metric values, each side's
 median and quartiles, the number of pairs the change won (ties count for
-neither side) and the per-kind job medians.  Machine metadata comes from the
-change's runs.
+neither side), the relative change of the medians with whether it stays within
+the metric's ``bound`` in the direction ``better`` calls worse, and the per-kind
+job medians.  Machine metadata comes from the change's runs.
 """
 
 from __future__ import annotations
@@ -52,15 +53,21 @@ def spread(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarise(runs: dict[str, list[dict]], better: dict[str, str]) -> dict:
+def summarise(runs: dict[str, list[dict]], specs: list[dict]) -> dict:
+    """Per metric: wins, each side's spread, and the median change against the
+    metric's bound (positive ``rel_change`` is a rise, whatever ``better`` says)."""
     summary = {}
-    for name, direction in better.items():
+    for spec in specs:
+        name, direction = spec["name"], spec["better"]
         vals = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
         sign = 1.0 if direction == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
+        spreads = {side: spread(v) for side, v in vals.items()}
+        rel = spreads["change"]["median"] / spreads["parent"]["median"] - 1.0
         summary[name] = {"unit": runs["change"][0]["metrics"][name]["unit"],
                          "better": direction, "wins": wins, "pairs": len(vals["change"]),
-                         **{side: spread(v) for side, v in vals.items()}}
+                         **spreads, "rel_change": rel,
+                         "within_bound": sign * rel <= spec["bound"]}
     return summary
 
 
@@ -102,7 +109,6 @@ def main(argv=None) -> int:
         pairs.append(pair)
         print(json.dumps(pair), flush=True)
 
-    better = {m["name"]: m["better"] for m in bench_spec["end_to_end"]}
     doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     change_meta = runs["change"][0]["meta"]
     doc["machine"] = {k: change_meta[k] for k in META_KEYS}
@@ -111,7 +117,7 @@ def main(argv=None) -> int:
         "blas_threads": change_meta["blas_threads"],
         "commits": {side: {"git_sha": runs[side][0]["meta"]["git_sha"],
                            "src_dirty": dirty[side]} for side in sides},
-        "summary": summarise(runs, better),
+        "summary": summarise(runs, bench_spec["end_to_end"]),
         "by_kind_p50_ms": {side: by_kind(rs) for side, rs in runs.items()},
         "pairs": pairs,
     }
