@@ -150,6 +150,11 @@ def test_reruns_are_byte_identical(capsys, pentagon_file):
     _, out3, _ = run(capsys, ["totcurv", pentagon_file])
     _, out4, _ = run(capsys, ["totcurv", pentagon_file])
     assert out3 == out4
+    for fmt in ("json", "csv"):
+        argv = ["h2xr-check", "--budget", "5", "--seed", "3", "--format", fmt]
+        _, out5, _ = run(capsys, argv)
+        _, out6, _ = run(capsys, argv)
+        assert out5 == out6
 
 
 def test_out_flag_writes_identical_report(capsys, square_file, tmp_path):
@@ -194,6 +199,7 @@ def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle
         ["sharpness", "--m", "2"],
         ["knot-det", trefoil_file, "--direction", "0,0,1"],
         ["extremal-search", "--k", "5", "--budget", "2,30"],
+        ["h2xr-check", "--budget", "5"],
     ]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
@@ -335,6 +341,13 @@ def test_h2xr_check_json_and_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "graph,r,ratio,excess"
     assert len(lines) == 9  # header + 2 graphs x 4 radii
+
+
+def test_h2xr_check_large_radii(capsys):
+    # tanh(r cos t / 2) rounds to 1 there; neither graph leaves the disk
+    code, rep, err = run_json(capsys, ["h2xr-check", "--budget", "5", "--radii", "40,60"])
+    assert code == 0, err
+    assert all(abs(row["excess"]) < 1e-12 for row in rep["results"]["end_curve_sweep"])
 
 
 def test_csv_rejected_elsewhere(capsys, square_file):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from curvebound import (
     FrameNormal,
     GeometryError,
     H2RIsometry,
     H2RPoint,
+    NumericalError,
     christoffel,
     decay_graph,
     end_curve_ratio,
@@ -282,3 +286,65 @@ def test_end_curve_ratio_validation():
     big = (lambda x, z: 0.9), (lambda x, z: (0.0, 0.0))
     with pytest.raises(GeometryError):
         end_curve_ratio(big[0], big[1], 5.0)
+
+
+def _lifted_length_over_r(f, df, r: float) -> float:
+    """Oracle: scipy quad of the metric speed of t -> (x, f(x, z), z) on the
+    parameter circle, written from the metric 4|du|^2/(1 - |u|^2)^2 + dz^2."""
+
+    def speed(t):
+        x, z = math.tanh(0.5 * r * math.cos(t)), r * math.sin(t)
+        dx = -0.5 * r * math.sin(t) * (1.0 - x * x)
+        dz = r * math.cos(t)
+        fx, fz = df(x, z)
+        dy = fx * dx + fz * dz
+        lam = 2.0 / (1.0 - x * x - f(x, z) ** 2)
+        return math.sqrt(lam * lam * (dx * dx + dy * dy) + dz * dz) / r
+
+    return quad(speed, 0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
+
+
+SHIPPED_GRAPHS = {"zero": zero_graph, "decay": decay_graph,
+                  "decay_slow": lambda: decay_graph(0.9, 0.2)}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_GRAPHS))
+def test_end_curve_ratio_matches_quad_oracle(name):
+    f, df = SHIPPED_GRAPHS[name]()
+    for r in (0.1, 0.5, 1.0, 2.0, 4.0, 5.0, 8.0, 16.0, 20.0):
+        assert abs(end_curve_ratio(f, df, r) - _lifted_length_over_r(f, df, r)) <= 1e-12
+
+
+def test_end_curve_ratio_nodes_are_nested_and_reruns_identical():
+    f, df = decay_graph()
+    seen = []
+
+    def logged(x, z):
+        seen.append((x, z))
+        return f(x, z)
+
+    first = end_curve_ratio(logged, df, 4.0)
+    # 16 + 16 + 32 nodes: two successive doublings must agree, none is redone
+    assert len(seen) == 64 and len(set(seen)) == 64
+    assert end_curve_ratio(f, df, 4.0) == first
+
+
+def test_end_curve_ratio_large_radius():
+    for f, df in (zero_graph(), decay_graph()):
+        for r in (40.0, 60.0, 100.0):
+            assert abs(end_curve_ratio(f, df, r) - 2.0 * math.pi) <= 1e-12
+
+
+def test_decay_graph_boundary_limit():
+    f, df = decay_graph()
+    for x in (1.0, -1.0):
+        assert f(x, 0.5) == 0.0
+        assert df(x, 0.5) == (0.0, 0.0)
+
+
+def test_end_curve_ratio_rejects_nonsmooth_graph():
+    # the jump at z = 1 is at t = pi/6 and 5pi/6, where sin t != 0, so the
+    # integrand jumps there and the trapezoid rule only converges like 1/n
+    step = (lambda x, z: 0.3 if z > 1.0 else 0.0), (lambda x, z: (0.0, 0.0))
+    with pytest.raises(NumericalError, match="r = 2.0"):
+        end_curve_ratio(step[0], step[1], 2.0)
