@@ -314,7 +314,10 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
         sqrt[(A sin t / B)^2 + ((A f_x (-sin t) + f_z cos t)/B)^2 + cos^2 t]
 
     integrates to exactly 2 pi when f = 0, and tends to 2 pi as r grows
-    for decaying graphs.
+    for decaying graphs.  It is evaluated through h = sech(r cos(t)/2),
+    A = h^2/2, as A/B = 1/(1 - (f/h)^2) and f_z/B = 2 (f_z/h)/h/(1 - (f/h)^2),
+    which stay accurate where h^2 underflows; the graph must keep |f| < h,
+    and r beyond about 1490, where h itself underflows, raises NumericalError.
 
     f and df must be smooth along the circle: the integral is a periodic
     trapezoid rule on 16, 32, 64, ... nodes, accepted once two successive
@@ -328,15 +331,16 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
         c, s = math.cos(t), math.sin(t)
         x = math.tanh(0.5 * r * c)
         z = r * s
-        e = math.exp(-abs(0.5 * r * c))
-        a = 2.0 * e * e / (1.0 + e * e) ** 2  # (1 - x^2)/2 = sech(rc/2)^2/2, uncancelled
+        h = _sech(0.5 * r * c)  # sqrt(1 - x^2), uncancelled
+        if h == 0.0:
+            raise NumericalError(f"end-curve integrand underflows at r = {r!r}")
         fv = float(f(x, z))
-        if fv * fv >= 2.0 * a:
+        if abs(fv) >= h:
             raise GeometryError("graph leaves the disk")
-        b = a - 0.5 * fv * fv
+        ab = 1.0 / (1.0 - (fv / h) ** 2)  # A/B
         fx, fz = df(x, z)
-        t1 = a * s / b
-        t2 = (a * float(fx) * (-s) + float(fz) * c) / b
+        t1 = ab * s
+        t2 = ab * (float(fx) * (-s) + 2.0 * (float(fz) / h) / h * c)
         return math.sqrt(t1 * t1 + t2 * t2 + c * c)
 
     # each doubling evaluates only the n new midpoints; fsum rounds each sum once
@@ -356,6 +360,12 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
         f"end-curve integral at r = {r!r} unconverged on {n} nodes "
         f"(last change {diff:.3g}); is the graph smooth along the circle?"
     )
+
+
+def _sech(x: float) -> float:
+    """sech x from exp(-|x|): no overflow, and 0 only once exp underflows."""
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
 
 
 def zero_graph():
@@ -379,7 +389,7 @@ def decay_graph(amplitude: float = 0.5, alpha: float = 1.0):
     def f(x, z):
         if abs(x) >= 1.0:
             return 0.0
-        return amplitude * (1.0 / math.cosh(rho_of(x, z))) ** p
+        return amplitude * _sech(rho_of(x, z)) ** p
 
     def df(x, z):
         if abs(x) >= 1.0:
@@ -387,7 +397,7 @@ def decay_graph(amplitude: float = 0.5, alpha: float = 1.0):
         rho = rho_of(x, z)
         if rho < 1e-12:
             return 0.0, 0.0
-        sech = 1.0 / math.cosh(rho)
+        sech = _sech(rho)
         fprime = -amplitude * p * sech**p * math.tanh(rho)
         u = 2.0 * math.atanh(x)
         drdx = (u / rho) * 2.0 / (1.0 - x * x)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, GeometryError
-from .polycurve import PolygonalCurve
+from .polycurve import PolygonalCurve, _nonadjacent_pairs
 from .spaceform import Kind, SpaceForm, as_rng
 
 PARALLEL_TOL = 1e-7
@@ -98,9 +98,8 @@ def project(curve: PolygonalCurve, direction) -> Diagram:
     if np.any(gap[(off % k > 0) & (off % k < k - 1)] < COINCIDENCE_TOL * scale):
         raise ConstructionError("a vertex image lies on a segment image")
 
-    # segment pairs i < j that share no vertex, in lexicographic order: the
-    # first pair that fails a check names the failure
-    i, j = np.nonzero((off > 1) & (off < k - 1))
+    # the first segment pair, in lexicographic order, that fails a check names the failure
+    i, j = _nonadjacent_pairs(k, True)
     p, u, q, w = p2[i], seg2[i], p2[j], seg2[j]
     r = q - p
     det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]

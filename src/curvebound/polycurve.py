@@ -20,6 +20,7 @@ from .spaceform import (
     Point,
     SpaceForm,
     _dist_can,
+    _half_angle,
     _mink_dot,
     dist_arrays,
     embed,
@@ -356,6 +357,14 @@ def point_curve_distance(space: SpaceForm, p, curve: PolygonalCurve):
 # ---------------------------------------------------------------------------
 
 
+def _nonadjacent_pairs(nseg: int, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the segment pairs i < j that share no vertex, in
+    lexicographic order; a closed curve's segments 0 and nseg - 1 share one."""
+    i, j = np.triu_indices(nseg, 2)
+    keep = j - i < nseg - 1 if closed else slice(None)
+    return i[keep], j[keep]
+
+
 def validate(curve: PolygonalCurve, tol: float = SIMPLE_TOL) -> SimplicityReport:
     """Check the curve is well formed and simple.
 
@@ -386,11 +395,8 @@ def validate(curve: PolygonalCurve, tol: float = SIMPLE_TOL) -> SimplicityReport
     ang = vertex_angle_arrays(curve.space, v[idx], v[(idx - 1) % k], v[(idx + 1) % k])
     violations += [f"cusp overlap at vertex {i}" for i in idx[ang < tol]]
 
-    nseg = curve.n_segments
-    pairs = [(i, j) for i in range(nseg) for j in range(i + 2, nseg)
-             if not (curve.closed and i == 0 and j == nseg - 1)]
-    if pairs:
-        i, j = np.array(pairs).T
+    i, j = _nonadjacent_pairs(curve.n_segments, curve.closed)
+    if i.size:
         a, b = _segment_ends(curve)
         d = _segseg_can(curve.space.kind, a[i], b[i], a[j], b[j])
         violations += [f"segments {si} and {sj} intersect (distance {dd:.2e})"
@@ -407,16 +413,8 @@ def simple_mask_euclidean(vertices: np.ndarray, closed: bool = True, tol: float 
     nxt = np.roll(v, -1, axis=1) if closed else v[:, 1:]
     cur = v if closed else v[:, :-1]
     ok &= np.all(np.linalg.norm(nxt - cur, axis=-1) > tol, axis=1)
-    nseg = k if closed else k - 1
-    for i in range(nseg):
-        for j in range(i + 1, nseg):
-            adjacent = (j == i + 1) or (closed and i == 0 and j == nseg - 1)
-            if adjacent:
-                continue
-            d = _segseg_euclid(
-                v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k]
-            )
-            ok &= d > tol
+    for i, j in zip(*_nonadjacent_pairs(k if closed else k - 1, closed)):
+        ok &= _segseg_euclid(v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k]) > tol
     return ok
 
 
@@ -488,18 +486,16 @@ def tangent_indicatrix(curve: PolygonalCurve) -> SphericalPolygon:
 
 
 def spherical_length(poly: SphericalPolygon) -> float:
-    """Sum of arc lengths arccos<p_i, p_(i+1)> along the polygon."""
+    """Sum of the arc lengths between consecutive vertices."""
     v = poly.vertices
     w = np.roll(v, -1, axis=0) if poly.closed else v[1:]
     u = v if poly.closed else v[:-1]
-    dots = np.clip(np.sum(u * w, axis=-1), -1.0, 1.0)
-    return float(np.sum(np.arccos(dots)))
+    return float(np.sum(_half_angle(u, w)))
 
 
 def indicatrix_length_batch(vertices: np.ndarray) -> np.ndarray:
     """Spherical length of the tangent indicatrix for a batch (B, k, d)."""
     v = np.asarray(vertices, dtype=float)
     diffs = np.roll(v, -1, axis=1) - v
-    t = diffs / np.linalg.norm(diffs, axis=-1, keepdims=True)
-    dots = np.clip(np.sum(t * np.roll(t, -1, axis=1), axis=-1), -1.0, 1.0)
-    return np.sum(np.arccos(dots), axis=-1)
+    t = diffs / np.sqrt(np.einsum("...i,...i->...", diffs, diffs))[..., None]
+    return np.sum(_half_angle(t, np.roll(t, -1, axis=1)), axis=-1)

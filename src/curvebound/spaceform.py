@@ -29,7 +29,6 @@ from .errors import (
 )
 
 ANTIPODAL_TOL = 1e-8
-CLAMP_TOL = 1e-9
 
 
 class Kind(str, Enum):
@@ -206,22 +205,30 @@ def convert(p: Point, target: Model) -> Point:
 
 
 def _mink_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return -a[..., 0] * b[..., 0] + np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+    return np.einsum("...i,...i->...", a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
 
 
-def _sphere_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # atan2 form: stable near both 0 and pi
-    c = np.sum(a * b, axis=-1)
-    perp = a - c[..., None] * b
-    s = np.linalg.norm(perp, axis=-1)
-    return np.arctan2(s, c)
+def _norm(kind: Kind, x: np.ndarray) -> np.ndarray:
+    """|x| in the ambient product: Minkowski for hyperboloid tangents, else Euclidean."""
+    if kind is Kind.HYPERBOLIC:
+        return np.sqrt(np.maximum(_mink_dot(x, x), 0.0))
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
+def _half_angle(x: np.ndarray, y: np.ndarray, kind: Kind = Kind.EUCLIDEAN) -> np.ndarray:
+    """Angle between unit vectors x and y: 2 atan2(|x - y|, |x + y|).
+
+    Kahan's form ("Miscalculating Area and Angles of a Needle-like
+    Triangle", 2014) keeps full relative accuracy at every angle in [0, pi].
+    """
+    return 2.0 * np.arctan2(_norm(kind, x - y), _norm(kind, x + y))
 
 
 def _dist_can(kind: Kind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kind is Kind.EUCLIDEAN:
         return np.linalg.norm(a - b, axis=-1)
     if kind is Kind.SPHERE:
-        return _sphere_angle(a, b)
+        return _half_angle(a, b)
     # cosh d = 1 + <a-b, a-b>_M / 2, so d = 2 arcsinh(|a-b|_M / 2): stable
     # at small separations where arccosh(-<a,b>_M) cancels; the difference
     # vector turns nearly null at large separations, so switch forms there
@@ -269,32 +276,30 @@ def _interp_can(kind: Kind, a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     return _renorm_hyperboloid(out)
 
 
-def _clamped_arccos(x: np.ndarray, tol: float = CLAMP_TOL) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + tol):
-        raise NumericalError(
-            f"arccos argument out of range by {float(np.max(np.abs(x)) - 1.0):.3e}"
-        )
-    return np.arccos(np.clip(x, -1.0, 1.0))
+def _angle_can(kind: Kind, p, u, v) -> np.ndarray:
+    """Angle at p of the geodesic triangle (p, u, v), canonical coords.
 
-
-def _angle_can(kind: Kind, p, u, v, tol: float = CLAMP_TOL) -> np.ndarray:
-    """Angle at p of the geodesic triangle (p, u, v), canonical coords."""
-    a = _dist_can(kind, p, u)
-    b = _dist_can(kind, p, v)
-    if np.any(a < 1e-12) or np.any(b < 1e-12):
-        raise GeometryError("vertex angle undefined: a side has zero length")
-    c = _dist_can(kind, u, v)
-    if kind is Kind.EUCLIDEAN:
-        num = np.sum((u - p) * (v - p), axis=-1)
-        return _clamped_arccos(num / (a * b), tol)
-    if kind is Kind.SPHERE:
-        if np.any(a > np.pi - 1e-12) or np.any(b > np.pi - 1e-12):
+    The tangent at p towards x is the part of d = x - p orthogonal to p:
+    d - <d,p> p on the sphere, d + <d,p>_M p on the hyperboloid, d in R^n.
+    Its length is the sine, hyperbolic sine or length of the side, and
+    <d,p> < -1 puts x in the hemisphere opposite p.
+    """
+    tangents = []
+    for x in (u, v):
+        t = x - p
+        if kind is Kind.SPHERE:
+            c = np.einsum("...i,...i->...", t, p)
+            t = t - c[..., None] * p
+        elif kind is Kind.HYPERBOLIC:
+            t = t + _mink_dot(t, p)[..., None] * p
+        tn = _norm(kind, t)
+        short = tn < 1e-12
+        if kind is Kind.SPHERE and np.any(short & (c < -1.0)):
             raise GeometryError("spherical vertex angle needs side lengths < pi")
-        arg = (np.cos(c) - np.cos(a) * np.cos(b)) / (np.sin(a) * np.sin(b))
-        return _clamped_arccos(arg, tol)
-    arg = (np.cosh(a) * np.cosh(b) - np.cosh(c)) / (np.sinh(a) * np.sinh(b))
-    return _clamped_arccos(arg, tol)
+        if np.any(short):
+            raise GeometryError("vertex angle undefined: a side has zero length")
+        tangents.append(t / tn[..., None])
+    return _half_angle(*tangents, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +316,8 @@ def geodesic_arrays(space: SpaceForm, a, b, t) -> np.ndarray:
     return unembed(space, out)
 
 
-def vertex_angle_arrays(space: SpaceForm, p, u, v, tol: float = CLAMP_TOL) -> np.ndarray:
-    return _angle_can(space.kind, embed(space, p), embed(space, u), embed(space, v), tol)
+def vertex_angle_arrays(space: SpaceForm, p, u, v) -> np.ndarray:
+    return _angle_can(space.kind, embed(space, p), embed(space, u), embed(space, v))
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +354,10 @@ def geodesic_point(space: SpaceForm, p, q, t: float) -> Point:
     return Point(x, space)
 
 
-def vertex_angle(space: SpaceForm, p, u, v, tol: float = CLAMP_TOL) -> float:
+def vertex_angle(space: SpaceForm, p, u, v) -> float:
     """Interior angle at p between the geodesics [p,u] and [p,v], in [0, pi]."""
     return float(
-        vertex_angle_arrays(space, _coerce(space, p), _coerce(space, u), _coerce(space, v), tol)
+        vertex_angle_arrays(space, _coerce(space, p), _coerce(space, u), _coerce(space, v))
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConstructionError, GeometryError
 from .polycurve import PolygonalCurve, total_curvature, validate
-from .spaceform import SpaceForm, as_rng
+from .spaceform import SpaceForm, _half_angle, as_rng
 
 FLAG_TOL = 1e-8  # antipodal / great-circle detection
 
@@ -70,11 +70,7 @@ def _check_unit(points: np.ndarray) -> np.ndarray:
     return p / norms[..., None]
 
 
-def _arc(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0))
-
-
-def _variant_arity(variant: BoundVariant, k: int, closed_override: bool | None = None) -> bool:
+def _variant_arity(variant: BoundVariant, k: int) -> bool:
     closed = variant in _CLOSED_VARIANTS
     if variant is BoundVariant.TRIANGLE and k != 3:
         raise GeometryError("triangle variant needs exactly 3 vertices")
@@ -103,11 +99,11 @@ def analytic_bound(k: int, closed: bool, theta=0.0):
 def _length_theta(p: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Length and endpoint separation theta (0 when closed) of (..., k, n) configurations."""
     if closed:
-        segs = _arc(p, np.roll(p, -1, axis=-2))
+        segs = _half_angle(p, np.roll(p, -1, axis=-2))
         theta = np.zeros(p.shape[:-2])
     else:
-        segs = _arc(p[..., :-1, :], p[..., 1:, :])
-        theta = _arc(p[..., 0, :], p[..., -1, :])
+        segs = _half_angle(p[..., :-1, :], p[..., 1:, :])
+        theta = _half_angle(p[..., 0, :], p[..., -1, :])
     return np.sum(segs, axis=-1), theta
 
 
@@ -180,8 +176,7 @@ def check_bound_batch(points: np.ndarray, variant: BoundVariant) -> dict:
 def _slack(p: np.ndarray, k: int, closed: bool) -> float:
     """check_bound's slack of one (k, n) configuration, without the flags.
 
-    The rows are renormalized as check_bound renormalizes them: arccos near
-    -1 turns a one-ulp change of an antipodal pair into 1.5e-8 of length.
+    The rows are renormalized as check_bound renormalizes them.
     """
     measured, theta = _length_theta(_check_unit(p), closed)
     return float(analytic_bound(k, closed, theta) - measured)
@@ -255,7 +250,9 @@ def sharpness_family(m: int, eps: float, seed=0) -> PolygonalCurve:
     vertex in a segment interior (total curvature exactly 2m pi when
     degenerate), perturbed by eps/(10 k) per coordinate and re-sampled until
     it validates as simple.  The perturbation scale is halved if the angle
-    deficit overshoots eps.
+    deficit overshoots eps.  A simple triangle is planar and convex, so its
+    total curvature is 2 pi exactly: for m = 1 the witness attains the bound,
+    and the first simple perturbation is returned.
     """
     if m < 1:
         raise GeometryError("m must be >= 1")
@@ -277,7 +274,7 @@ def sharpness_family(m: int, eps: float, seed=0) -> PolygonalCurve:
             pattern = rng.uniform(-1.0, 1.0, size=(k, 3))
             continue
         tc = total_curvature(curve)
-        if target - eps <= tc <= target - 1e-12:
+        if m == 1 or target - eps <= tc <= target - 1e-12:
             return curve
         delta *= 0.5
     raise ConstructionError(

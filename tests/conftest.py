@@ -66,6 +66,15 @@ def curved_frame(kind, rng, scale: float, count: int = 2):
     return x, frame
 
 
+def small_plane_pentagon(kind, r):
+    """A regular pentagon of circumradius r in the totally geodesic S^2 of S^3
+    or H^2 of H^3 (last coordinate 0), canonical coords, with its area to O(r^4)."""
+    t = 2.0 * np.pi * np.arange(5) / 5.0
+    c, s = (np.cos(r), np.sin(r)) if kind is Kind.SPHERE else (np.cosh(r), np.sinh(r))
+    verts = np.stack([np.full(5, c), s * np.cos(t), s * np.sin(t), np.zeros(5)], axis=1)
+    return verts, 2.5 * r * r * np.sin(2.0 * np.pi / 5.0)
+
+
 def exp_can(kind, x, v, s):
     """The point at distance s from x along the unit tangent v, canonical coords."""
     if kind is Kind.SPHERE:

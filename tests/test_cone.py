@@ -35,6 +35,7 @@ from conftest import (
     exp_can,
     random_simple_polygons,
     random_unit,
+    small_plane_pentagon,
 )
 
 DUAL_ROUTE_TOL = 1e-6
@@ -417,6 +418,18 @@ def test_certify_random_pentagon_each_kind(rng):
     cert = certify_embedded(SpaceForm.sphere(3), sph, n_samples=200)
     assert cert.verdict is CertVerdict.CERTIFIED
     assert any("radius" in p for p in cert.preconditions)
+
+
+@pytest.mark.parametrize("r", [1e-5, 1e-6])
+@pytest.mark.parametrize("space", [SpaceForm.sphere(3), SpaceForm.hyperbolic(3, Model.HYPERBOLOID)],
+                         ids=["sphere", "hyperbolic"])
+def test_certify_small_plane_pentagon_density_is_one(space, r):
+    # every hull sample lies in the pentagon's totally geodesic plane, where the cone is
+    # that plane: density 1 inside the pentagon and less outside
+    verts, _ = small_plane_pentagon(space.kind, r)
+    cert = certify_embedded(space, PolygonalCurve(space, verts), n_samples=300, rng=3)
+    assert cert.verdict is CertVerdict.CERTIFIED
+    assert cert.worst.density <= 1.0 + 1e-12
 
 
 def test_certify_large_spherical_curve_inconclusive():

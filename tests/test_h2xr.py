@@ -335,6 +335,20 @@ def test_end_curve_ratio_large_radius():
             assert abs(end_curve_ratio(f, df, r) - 2.0 * math.pi) <= 1e-12
 
 
+@pytest.mark.parametrize("name", sorted(SHIPPED_GRAPHS))
+def test_end_curve_ratio_where_sech_squared_underflows(name):
+    # sech(r cos t / 2)^2 is subnormal or 0 near t = 0 and pi at these radii
+    f, df = SHIPPED_GRAPHS[name]()
+    for r in (740.0, 1000.0, 1400.0):
+        assert abs(end_curve_ratio(f, df, r) - 2.0 * math.pi) <= 1e-12
+
+
+def test_end_curve_ratio_names_the_radius_where_sech_underflows():
+    f, df = zero_graph()
+    with pytest.raises(NumericalError, match="r = 1500.0"):
+        end_curve_ratio(f, df, 1500.0)
+
+
 def test_decay_graph_boundary_limit():
     f, df = decay_graph()
     for x in (1.0, -1.0):

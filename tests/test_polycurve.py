@@ -5,6 +5,7 @@ import pytest
 
 from curvebound import (
     GeometryError,
+    Kind,
     Model,
     Point,
     PolygonalCurve,
@@ -25,9 +26,10 @@ from curvebound import (
     unembed,
     validate,
 )
-from curvebound.polycurve import SIMPLE_TOL
+from curvebound.polycurve import SIMPLE_TOL, _nonadjacent_pairs
 
-from conftest import curved_frame, euclidean_curve, exp_can, random_simple_polygons
+from conftest import (curved_frame, euclidean_curve, exp_can, random_simple_polygons,
+                      small_plane_pentagon)
 
 EXACT = 1e-12
 LOOSE = 1e-9
@@ -258,6 +260,15 @@ def test_validate_near_antipodal_arc_on_sphere():
     assert any("antipodal" in v for v in rep.violations)
 
 
+def test_nonadjacent_pairs_in_lexicographic_order():
+    for nseg in range(1, 10):
+        for closed in (True, False):
+            want = [(i, j) for i in range(nseg) for j in range(i + 2, nseg)
+                    if not (closed and i == 0 and j == nseg - 1)]
+            i, j = _nonadjacent_pairs(nseg, closed)
+            assert list(zip(i.tolist(), j.tolist())) == want
+
+
 def test_simple_mask_matches_validate(rng):
     batch = rng.normal(size=(40, 5, 3))
     mask = simple_mask_euclidean(batch)
@@ -322,6 +333,17 @@ def test_hyperbolic_triangle_turns_more_than_euclidean():
     v = r * np.stack([np.cos(t), np.sin(t)], axis=1)
     tc = total_curvature(PolygonalCurve(space, v))
     assert tc > 2.0 * np.pi + 1e-3
+
+
+@pytest.mark.parametrize("r", [1e-5, 1e-6])
+@pytest.mark.parametrize("space", [SpaceForm.sphere(3), SpaceForm.hyperbolic(3, Model.HYPERBOLOID)],
+                         ids=["sphere", "hyperbolic"])
+def test_small_pentagon_total_curvature_obeys_gauss_bonnet(space, r):
+    # in a totally geodesic plane of curvature K the exterior angles sum to 2 pi - K area
+    verts, area = small_plane_pentagon(space.kind, r)
+    curvature = 1.0 if space.kind is Kind.SPHERE else -1.0
+    tc = total_curvature(PolygonalCurve(space, verts))
+    assert abs(tc - (2.0 * np.pi - curvature * area)) <= 1e-11
 
 
 def test_batch_total_curvature_matches_loop(rng):

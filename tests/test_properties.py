@@ -23,6 +23,7 @@ from curvebound import (
     point_curve_distance,
     random_isometry,
     segment_pair_distance,
+    vertex_angle,
 )
 from curvebound.polycurve import _segseg_can
 from curvebound.spaceform import _dist_can, _interp_can
@@ -106,6 +107,21 @@ def test_cone_angle_isometry_invariant(space, seed):
     except GeometryError:
         assume(False)
     b = cone_angle(space, moved(space, iso, apex), moved_curve)
+    assert abs(a - b) < INVARIANCE_TOL
+
+
+@pytest.mark.parametrize("space", MODELS, ids=ids)
+@property_settings
+@given(seed=seeds)
+def test_vertex_angle_isometry_invariant(space, seed):
+    rng = np.random.default_rng(seed)
+    tri = chart_points(space, rng, 3)
+    iso = random_isometry(space, rng)
+    try:
+        a = vertex_angle(space, *tri)
+    except GeometryError:
+        assume(False)
+    b = vertex_angle(space, *moved(space, iso, tri))
     assert abs(a - b) < INVARIANCE_TOL
 
 

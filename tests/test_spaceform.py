@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -27,6 +28,8 @@ from curvebound import (
     vertex_angle,
 )
 from curvebound.spaceform import dist_arrays, geodesic_arrays, vertex_angle_arrays
+
+from conftest import curved_frame, exp_can
 
 TOL = 1e-12
 
@@ -292,6 +295,97 @@ def test_degenerate_angle_rejected():
     p = np.array([0.0, 0.0])
     with pytest.raises(GeometryError):
         vertex_angle(E2, p, p, np.array([1.0, 0.0]))
+
+
+def test_near_antipodal_side_rejected():
+    p = np.array([0.0, 0.0, 1.0])
+    for gap in (0.0, 1e-13):
+        u = np.array([math.sin(gap), 0.0, -math.cos(gap)])
+        with pytest.raises(GeometryError, match="side lengths < pi"):
+            vertex_angle(S2, p, u, np.array([1.0, 0.0, 0.0]))
+
+
+ORACLE_MODELS = [
+    SpaceForm.euclidean(3),
+    SpaceForm.sphere(3, Model.UNIT_SPHERE),
+    SpaceForm.sphere(3, Model.STEREO_BALL),
+    SpaceForm.hyperbolic(3, Model.HYPERBOLOID),
+    SpaceForm.hyperbolic(3, Model.POINCARE_BALL),
+]
+
+
+def _mp_angle(space, p, u, v) -> float:
+    """The angle at p, from the float coords taken as exact, at 50 digits.
+
+    Chart coords go to canonical ones by the exact chart maps; the tangent
+    towards x is x minus its projection on p, which needs no normalization;
+    the angle is atan2 of the Gram determinant's root and the inner product.
+    """
+    with mpmath.workdps(50):
+        def canonical(x):
+            x = [mpmath.mpf(float(c)) for c in x]
+            r2 = sum(c * c for c in x)
+            if space.model is Model.STEREO_BALL:
+                return [(r2 - 1) / (r2 + 1)] + [2 * c / (r2 + 1) for c in x]
+            if space.model is Model.POINCARE_BALL:
+                return [(1 + r2) / (1 - r2)] + [2 * c / (1 - r2) for c in x]
+            return x
+
+        sign = -1 if space.kind is Kind.HYPERBOLIC else 1
+
+        def dot(a, b):
+            return sign * a[0] * b[0] + sum(x * y for x, y in zip(a[1:], b[1:]))
+
+        cp = canonical(p)
+        tangents = []
+        for x in (canonical(u), canonical(v)):
+            if space.kind is Kind.EUCLIDEAN:
+                tangents.append([a - b for a, b in zip(x, cp)])
+            else:
+                c = dot(x, cp) / dot(cp, cp)
+                tangents.append([a - c * b for a, b in zip(x, cp)])
+        tu, tv = tangents
+        g = dot(tu, tv)
+        return float(mpmath.atan2(mpmath.sqrt(dot(tu, tu) * dot(tv, tv) - g * g), g))
+
+
+def _thin_triangles(space, rng, side, count):
+    """count triangles (p, u, v) with sides near ``side`` and random apex angles.
+
+    Canonical models get triangles around random points of unit order; the
+    chart triangles sit within a few sides of the chart origin, where chart
+    coords carry as many digits as the triangle's shape.
+    """
+    tris = []
+    for _ in range(count):
+        phi = rng.uniform(0.0, math.pi)
+        if space.kind is Kind.EUCLIDEAN or space.model in (Model.STEREO_BALL, Model.POINCARE_BALL):
+            e1, e2 = np.linalg.qr(rng.standard_normal((3, 2)))[0].T
+            if space.kind is Kind.EUCLIDEAN:
+                p, r = rng.uniform(-1.0, 1.0, 3), side
+            else:
+                p, r = 0.3 * side * rng.standard_normal(3) / math.sqrt(3.0), 0.5 * side
+            tris.append((p, p + r * e1, p + r * (math.cos(phi) * e1 + math.sin(phi) * e2)))
+        else:
+            x, (e1, e2) = curved_frame(space.kind, rng, 0.5)
+            w = math.cos(phi) * e1 + math.sin(phi) * e2
+            tris.append((x, exp_can(space.kind, x, e1, side), exp_can(space.kind, x, w, side)))
+    return [np.stack(c) for c in zip(*tris)]
+
+
+ORACLE_SIDES = [10.0**e for e in range(-8, 1)]
+
+
+@pytest.mark.parametrize("space", ORACLE_MODELS, ids=lambda s: f"{s.kind.value}-{s.model.value}")
+def test_vertex_angle_matches_high_precision_oracle(space):
+    rng = np.random.default_rng(1401)
+    worst = 0.0
+    for side in ORACLE_SIDES:
+        p, u, v = _thin_triangles(space, rng, side, 12)
+        got = vertex_angle_arrays(space, p, u, v)
+        ref = np.array([_mp_angle(space, *tri) for tri in zip(p, u, v)])
+        worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-14
 
 
 # ---------------------------------------------------------------------------

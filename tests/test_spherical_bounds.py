@@ -49,6 +49,16 @@ def test_triangle_with_antipodal_pair_attains_bound(rng):
     assert chk.theta is None
 
 
+def test_antipodal_triangles_have_zero_slack():
+    # [a, -a, b] has length pi + (pi - d(a, b)) + d(a, b) = 2 pi for every b
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        a, b = random_unit(rng, 2, 3)
+        worst = max(worst, abs(check_bound(np.stack([a, -a, b]), BoundVariant.TRIANGLE).slack))
+    assert worst <= 1e-15
+
+
 def test_chain1_equality(rng):
     a = random_unit(rng, 1, 3)[0]
     b = random_unit(rng, 1, 3)[0]
@@ -325,6 +335,13 @@ def test_antipodal_move_is_the_per_vertex_maximum(seed, dim):
 # ---------------------------------------------------------------------------
 # sharpness family
 # ---------------------------------------------------------------------------
+
+
+def test_sharpness_witness_m1_attains_2pi():
+    # every simple triangle is planar and convex, so the m = 1 bound is attained
+    curve = sharpness_family(1, 1e-2)
+    assert validate(curve).simple
+    assert abs(total_curvature(curve) - 2.0 * np.pi) <= 1e-14
 
 
 def test_sharpness_witness_m2():
