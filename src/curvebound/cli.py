@@ -53,6 +53,9 @@ SCHEMA_VERSION = 1
 GEODESIC_RESIDUAL_TOL = 1e-8
 JACOBI_RESIDUAL_TOL = 1e-6
 SLACK_TOL = 1e-9
+# end_curve_ratio is good to a few 1e-14, so h2xr-check reports ratio - 2 pi in
+# multiples of this rather than in rounding digits
+EXCESS_QUANTUM = 1e-13
 
 COMMANDS = (
     "totcurv",
@@ -484,7 +487,8 @@ def _cmd_h2xr_check(args) -> tuple[dict, dict | None, int]:
                     "graph": name,
                     "r": r,
                     "ratio": sig12(ratio),
-                    "excess": sig12(ratio - 2.0 * math.pi),
+                    "excess": sig12(round((ratio - 2.0 * math.pi) / EXCESS_QUANTUM)
+                                    * EXCESS_QUANTUM),
                 }
             )
 

@@ -21,6 +21,7 @@ from .errors import GeometryError, OnCurveError
 from .polycurve import (
     PolygonalCurve,
     _segment_distances,
+    _segments,
     point_curve_distance,
     turning_angles,
     validate,
@@ -49,6 +50,11 @@ class DensityCase(str, Enum):
     OFF_CURVE = "off_curve"
     ON_EDGE = "on_edge"
     AT_VERTEX = "at_vertex"
+
+
+# the density kernel's case codes index this tuple
+_CASES = (DensityCase.OFF_CURVE, DensityCase.ON_EDGE, DensityCase.AT_VERTEX)
+_ON_EDGE, _AT_VERTEX = 1, 2
 
 
 class CertVerdict(str, Enum):
@@ -125,8 +131,66 @@ def _check_sphere_admissible(space: SpaceForm, p: np.ndarray, curve: PolygonalCu
 
 
 # ---------------------------------------------------------------------------
-# cone angle: closed form and sampled oracle
+# cone density: one batched kernel, its wrappers and the sampled oracle
 # ---------------------------------------------------------------------------
+
+
+def _densities(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
+               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cone angle, case code into _CASES and curve index of each apex x (n, ambient_dim).
+
+    An apex within tol of a segment is at the nearest vertex if that is within
+    tol, else on the first segment within tol; the index names it (-1 off the
+    curve).  Off the curve every segment adds its apex angle, in one broadcast
+    call, and apexes in S^n must clear the curve's antipodes.  On the curve,
+    segments through the apex add nothing, so only kept pairs are gathered.
+    """
+    seg_d = _segment_distances(space.kind, embed(space, x), curve)
+    on = np.min(seg_d, axis=-1) < tol
+    starts, ends = _segments(curve.vertices, curve.closed)
+    angle = np.empty(len(x))
+    case = np.zeros(len(x), dtype=int)
+    index = np.full(len(x), -1)
+    if not np.all(on):
+        off = x[~on]
+        if space.kind is Kind.SPHERE:
+            _check_sphere_admissible(space, off, curve)
+        angle[~on] = np.sum(vertex_angle_arrays(space, off[:, None, :], starts, ends), axis=-1)
+    if np.any(on):
+        xs = x[on]
+        vd = dist_arrays(space, xs[:, None, :], curve.vertices)
+        at_vertex = np.min(vd, axis=-1) < tol
+        idx = np.where(at_vertex, np.argmin(vd, axis=-1), np.argmax(seg_d[on] < tol, axis=-1))
+        s = np.arange(curve.n_segments)
+        skip = (s == idx[:, None]) | (at_vertex[:, None] & ((s + 1) % curve.k == idx[:, None]))
+        rows, segs = np.nonzero(~skip)
+        chain = np.zeros(skip.shape)
+        chain[rows, segs] = vertex_angle_arrays(space, xs[rows], starts[segs], ends[segs])
+        angle[on] = np.sum(chain, axis=-1)
+        case[on] = np.where(at_vertex, _AT_VERTEX, _ON_EDGE)
+        index[on] = idx
+    return angle, case, index
+
+
+def _bounds(curve: PolygonalCurve, case: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Strict density bound for each apex of _densities: 2 off the curve,
+    3/2 on an edge, 3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
+    bound = np.where(case == _ON_EDGE, 1.5, 2.0)
+    at_vertex = case == _AT_VERTEX
+    if np.any(at_vertex):
+        idx = index[at_vertex]
+        if not curve.closed:
+            if np.any((idx == 0) | (idx == curve.k - 1)):
+                raise GeometryError("no exterior angle at an open-curve endpoint")
+            idx = idx - 1  # open curves have turning angles at interior vertices only
+        bound[at_vertex] = 1.5 - turning_angles(curve)[idx] / (2.0 * math.pi)
+    return bound
+
+
+def _report(x: np.ndarray, angle, case, bound) -> ConeDensityReport:
+    angle, bound = float(angle), float(bound)
+    density = angle / (2.0 * math.pi)
+    return ConeDensityReport(x, angle, density, _CASES[case], bound, density < bound)
 
 
 def cone_angle(space: SpaceForm, p, curve: PolygonalCurve) -> float:
@@ -136,18 +200,28 @@ def cone_angle(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     direction sphere at p.  The apex must lie off the curve; on the sphere
     it must also be non-antipodal to every curve point.
     """
-    x = _coerce_coords(space, p)
-    if point_curve_distance(space, x, curve) < ON_CURVE_TOL:
+    angle, case, _ = _densities(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
+    if case[0]:
         raise OnCurveError("apex lies on the curve; use on_curve_bound")
-    if space.kind is Kind.SPHERE:
-        _check_sphere_admissible(space, x, curve)
-    v = curve.vertices
-    if curve.closed:
-        u, w = v, np.roll(v, -1, axis=0)
-    else:
-        u, w = v[:-1], v[1:]
-    ang = vertex_angle_arrays(space, x[None, :], u, w)
-    return float(np.sum(ang))
+    return float(angle[0])
+
+
+def on_curve_bound(space: SpaceForm, p, curve: PolygonalCurve) -> float:
+    """Density bound for an apex on the curve: 3/2 on an edge interior,
+    3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
+    _, case, index = _densities(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
+    if not case[0]:
+        raise GeometryError("point does not lie on the curve")
+    return float(_bounds(curve, case, index)[0])
+
+
+def density_report(space: SpaceForm, p, curve: PolygonalCurve,
+                   tol: float = ON_CURVE_TOL) -> ConeDensityReport:
+    """Cone density at p with the applicable strict bound; p lies on the
+    curve when it is within tol of it."""
+    x = _coerce_coords(space, p)
+    angle, case, index = _densities(space, x[None], curve, tol)
+    return _report(x, angle[0], case[0], _bounds(curve, case, index)[0])
 
 
 def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
@@ -173,84 +247,17 @@ def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
         chart_space = space.with_model(Model.POINCARE_BALL)
     else:
         chart_space = space
-    verts = convert_coords(space, iso.apply(curve.vertices), chart_space.model)
-    ends = np.roll(verts, -1, axis=0)[: curve.n_segments]
+    starts, ends = _segments(convert_coords(space, iso.apply(curve.vertices), chart_space.model),
+                             curve.closed)
     t = np.linspace(0.0, 1.0, samples_per_segment + 1)
     # every segment, sampled along its geodesic, in one (k, S+1) chart array
-    chart = geodesic_arrays(chart_space, verts[: curve.n_segments, None, :], ends[:, None, :], t)
+    chart = geodesic_arrays(chart_space, starts[:, None, :], ends[:, None, :], t)
     rad = np.sqrt(np.einsum("ksi,ksi->ks", chart, chart))
     if np.any(rad < 1e-14):
         raise GeometryError("radial projection hit the apex")
     step = np.diff(chart / rad[..., None], axis=1)
     chords = np.sqrt(np.einsum("ksi,ksi->ks", step, step))
     return float(np.sum(2.0 * np.arcsin(np.clip(chords / 2.0, 0.0, 1.0))))
-
-
-# ---------------------------------------------------------------------------
-# on-curve cases
-# ---------------------------------------------------------------------------
-
-
-def _locate_on_curve(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
-                     tol: float) -> tuple[DensityCase, int]:
-    vd = dist_arrays(space, x[None, :], curve.vertices)
-    i = int(np.argmin(vd))
-    if vd[i] < tol:
-        return DensityCase.AT_VERTEX, i
-    hits = np.flatnonzero(_segment_distances(space.kind, embed(space, x), curve) < tol)
-    if hits.size:
-        return DensityCase.ON_EDGE, int(hits[0])
-    raise GeometryError("point does not lie on the curve")
-
-
-def on_curve_bound(space: SpaceForm, p, curve: PolygonalCurve,
-                   tol: float = ON_CURVE_TOL) -> float:
-    """Density bound for an apex on the curve: 3/2 on an edge interior,
-    3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
-    x = _coerce_coords(space, p)
-    return _on_curve_bound_at(curve, *_locate_on_curve(space, x, curve, tol))
-
-
-def _on_curve_bound_at(curve: PolygonalCurve, case: DensityCase, idx: int) -> float:
-    if case is DensityCase.ON_EDGE:
-        return 1.5
-    if not curve.closed:
-        if idx in (0, curve.k - 1):
-            raise GeometryError("no exterior angle at an open-curve endpoint")
-        idx -= 1  # open curves have turning angles at interior vertices only
-    return 1.5 - float(turning_angles(curve)[idx]) / (2.0 * math.pi)
-
-
-def _chain_angle_on_curve(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
-                          case: DensityCase, idx: int) -> float:
-    """Length of the direction-sphere chain for an apex on the curve.
-
-    Segments through the apex project to single points and contribute no
-    length; the remaining segments contribute their subtended apex angles.
-    """
-    s = np.arange(curve.n_segments)
-    keep = s != idx
-    if case is DensityCase.AT_VERTEX:
-        keep &= (s + 1) % curve.k != idx
-    s = s[keep]
-    v = curve.vertices
-    return float(np.sum(vertex_angle_arrays(space, x, v[s], v[(s + 1) % curve.k])))
-
-
-def density_report(space: SpaceForm, p, curve: PolygonalCurve,
-                   tol: float = ON_CURVE_TOL) -> ConeDensityReport:
-    """Cone density at p with the applicable strict bound."""
-    x = _coerce_coords(space, p)
-    if point_curve_distance(space, x, curve) < tol:
-        case, idx = _locate_on_curve(space, x, curve, tol)
-        angle = _chain_angle_on_curve(space, x, curve, case, idx)
-        bound = _on_curve_bound_at(curve, case, idx)
-    else:
-        case = DensityCase.OFF_CURVE
-        angle = cone_angle(space, x, curve)
-        bound = 2.0
-    density = angle / (2.0 * math.pi)
-    return ConeDensityReport(x, angle, density, case, bound, density < bound)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +364,9 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
     Designed for 5-gon boundaries, where the density bounds are sharp enough
     to always certify; longer knotted boundaries are expected to fail and
     come back Inconclusive.  Distances are closed forms (the segment pairs
-    of the simplicity check add a damped Newton solve), and the check is one
-    batched pass: the distances of all samples to the curve, then the cone
-    angles of all off-curve samples; only samples within tol of the curve go
-    one by one through density_report.  The worst sample is the first of
+    of the simplicity check add a damped Newton solve), and all samples go
+    through the density kernel in one batch; samples within tol of the curve
+    get the on-curve chain angle and bound.  The worst sample is the first of
     least margin.  Verdict Certified means every hull sample satisfied its
     strict density bound; it is evidence at the sampled resolution, not a
     proof over the whole hull.
@@ -385,27 +391,13 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
         preconditions.append(f"enclosing geodesic ball radius {radius:.6f} < pi/4")
 
     samples = hull_sample(space, curve.vertices, n_samples, rng=rng)
-    on_curve = point_curve_distance(space, samples, curve) < tol
-    off = samples[~on_curve]
-    if space.kind is Kind.SPHERE:
-        _check_sphere_admissible(space, off, curve)
-    v = curve.vertices
-    angle = np.empty(n_samples)
-    angle[~on_curve] = np.sum(
-        vertex_angle_arrays(space, off[:, None, :], v, np.roll(v, -1, axis=0)), axis=-1
-    )
-    bound = np.full(n_samples, 2.0)
-    on_reports = {int(i): density_report(space, samples[i], curve, tol)
-                  for i in np.flatnonzero(on_curve)}
-    for i, rep in on_reports.items():
-        angle[i], bound[i] = rep.angle, rep.bound_applied
+    angle, case, index = _densities(space, samples, curve, tol)
+    bound = _bounds(curve, case, index)
     density = angle / (2.0 * math.pi)
     worst = None
     if n_samples:
         w = int(np.argmin(bound - density))
-        worst = on_reports.get(w) or ConeDensityReport(
-            samples[w], float(angle[w]), float(density[w]), DensityCase.OFF_CURVE, 2.0,
-            bool(density[w] < 2.0))
+        worst = _report(samples[w], angle[w], case[w], bound[w])
     all_pass = bool(np.all(density < bound))
     verdict = CertVerdict.CERTIFIED if all_pass else CertVerdict.INCONCLUSIVE
     reason = None if all_pass else "a sampled density met or exceeded its bound"

@@ -20,6 +20,8 @@ from .errors import GeometryError, NumericalError
 UNIT_SPEED_TOL = 1e-9
 SMALL_C = 1e-6
 _TRAPEZOID_CAP = 1 << 16  # the most nodes end_curve_ratio evaluates
+_TRAPEZOID_TOL = 1e-9  # the change two accepted doublings may each make
+FD_STEP = 1e-3  # finite-difference step of the ODE residuals
 
 
 @dataclass
@@ -167,10 +169,11 @@ def geodesic(p, v, t):
     return pts
 
 
-def geodesic_ode_residual(p, v, t: float, h: float = 1e-3) -> float:
+def geodesic_ode_residual(p, v, t: float) -> float:
     """Max-norm residual of the geodesic equation at parameter t,
     via 5-point finite differences of the closed form."""
     nf = normal_form(p, v)
+    h = FD_STEP
     ts = t + h * np.arange(-2.0, 3.0)
     g = nf.point_at(ts)
     d1 = (g[0] - 8.0 * g[1] + 8.0 * g[3] - g[4]) / (12.0 * h)
@@ -212,8 +215,9 @@ def jacobi(c: float, t, omega0) -> np.ndarray:
     return comps
 
 
-def jacobi_ode_residual(c: float, t: float, omega0, h: float = 1e-3) -> float:
+def jacobi_ode_residual(c: float, t: float, omega0) -> float:
     """Residual of J2'' - 4 c^2 J2 = 0 and J1'' = J3'' = 0 at t."""
+    h = FD_STEP
     ts = t + h * np.arange(-2.0, 3.0)
     j = jacobi(c, ts, omega0)
     d2 = (-j[0] + 16.0 * j[1] - 30.0 * j[2] + 16.0 * j[3] - j[4]) / (12.0 * h * h)
@@ -303,7 +307,7 @@ def laplacian_log_rho(rho, phi, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
+def end_curve_ratio(f, df, r: float) -> float:
     """(1/r) times the length of the horizontal graph u2 = f(u1, z) over the
     intrinsic circle of radius r in the vertical plane u2 = 0.
 
@@ -321,8 +325,8 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
 
     f and df must be smooth along the circle: the integral is a periodic
     trapezoid rule on 16, 32, 64, ... nodes, accepted once two successive
-    doublings each move it by at most max(tol, tol |T|).  A graph that is not
-    smooth there converges slowly and raises NumericalError at 2^16 nodes.
+    doublings each move it by at most _TRAPEZOID_TOL max(1, |T|).  A graph that
+    is not smooth there converges slowly and raises NumericalError at 2^16 nodes.
     """
     if r <= 0:
         raise GeometryError("radius must be positive")
@@ -353,7 +357,7 @@ def end_curve_ratio(f, df, r: float, tol: float = 1e-9) -> float:
         n *= 2
         prev, total = total, 2.0 * math.pi * math.fsum(vals) / n
         diff = abs(total - prev)
-        agreed = agreed + 1 if diff <= max(tol, tol * abs(total)) else 0
+        agreed = agreed + 1 if diff <= _TRAPEZOID_TOL * max(1.0, abs(total)) else 0
         if agreed == 2:
             return total
     raise NumericalError(

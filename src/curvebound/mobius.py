@@ -21,6 +21,7 @@ BALL_LIMIT = 1.0 - 1e-12
 SEARCH_CAP = 1.0 - 1e-6
 DENOM_TOL = 1e-14
 GRID_CHUNK_ELEMS = 2**14  # rows x chords per translate_lengths call in the grid
+GRID_REFINEMENTS = 2  # shrinking balls after the grid's global layer
 
 
 @dataclass(frozen=True)
@@ -301,11 +302,11 @@ class MobiusVolumeResult:
 
 
 def mobius_volume(curve: SampledCurve, restarts: int = 32, iterations: int = 500,
-                  rng=0, cap: float = SEARCH_CAP) -> MobiusVolumeResult:
+                  rng=0) -> MobiusVolumeResult:
     """Lower estimate of sup over |a| < 1 of the translated curve's length.
 
     Multi-start Nelder-Mead over the translation parameter with a barrier
-    at |a| = cap, always including a = 0; each evaluation is one row of
+    at |a| = SEARCH_CAP, always including a = 0; each evaluation is one row of
     ``translate_lengths`` on a chord plan built once.  For closed curves
     the analytic blow-up lower bound (a pushed to a curve point gives a
     great circle of length 2 pi in the limit) is folded into the max.
@@ -315,7 +316,7 @@ def mobius_volume(curve: SampledCurve, restarts: int = 32, iterations: int = 500
     chords = Chords.of(curve)
 
     def neg_length(a):
-        if np.linalg.norm(a) >= cap:
+        if np.linalg.norm(a) >= SEARCH_CAP:
             return 1e9 * (1.0 + float(np.linalg.norm(a)))
         return -float(translate_lengths(chords, a)[0])
 
@@ -346,7 +347,7 @@ def mobius_volume(curve: SampledCurve, restarts: int = 32, iterations: int = 500
 
     lower = round_sphere_volume(2) if curve.closed else 0.0
     sup = max(best_len, lower)
-    budget = {"restarts": int(restarts), "iterations": int(iterations), "cap": cap}
+    budget = {"restarts": int(restarts), "iterations": int(iterations), "cap": SEARCH_CAP}
     return MobiusVolumeResult(curve, sup, best_a, lower, budget)
 
 
@@ -358,8 +359,7 @@ def _init_simplex(a0: np.ndarray, step: float) -> np.ndarray:
     return simplex
 
 
-def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
-                       refinements: int = 2, cap: float = SEARCH_CAP) -> MobiusVolumeResult:
+def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0) -> MobiusVolumeResult:
     """Grid/refinement cross-check oracle for mobius_volume.
 
     Evaluates the objective on a global random grid in the parameter
@@ -372,7 +372,7 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
     """
     rng = as_rng(rng)
     dim = curve.points.shape[1]
-    layers = refinements + 1
+    layers = GRID_REFINEMENTS + 1
     per_layer = max(1, n_points // layers)
     chords = Chords.of(curve)
     rows = max(1, GRID_CHUNK_ELEMS // max(1, chords.c.size))
@@ -380,13 +380,13 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
     best_len = float(translate_lengths(chords, np.zeros(dim))[0])
     best_a = np.zeros(dim)
     center = np.zeros(dim)
-    radius = cap
+    radius = SEARCH_CAP
     for _ in range(layers):
         raw = rng.standard_normal((per_layer, dim))
         raw /= np.linalg.norm(raw, axis=-1, keepdims=True)
         radii = radius * rng.uniform(0.0, 1.0, per_layer) ** (1.0 / dim)
         pts = center + raw * radii[:, None]
-        pts = pts[np.linalg.norm(pts, axis=-1) < cap]
+        pts = pts[np.linalg.norm(pts, axis=-1) < SEARCH_CAP]
         for start in range(0, pts.shape[0], rows):
             vals = translate_lengths(chords, pts[start:start + rows])
             k = int(np.argmax(vals))
@@ -398,5 +398,5 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0,
 
     lower = round_sphere_volume(2) if curve.closed else 0.0
     sup = max(best_len, lower)
-    budget = {"n_points": int(n_points), "refinements": int(refinements), "cap": cap}
+    budget = {"n_points": int(n_points), "refinements": GRID_REFINEMENTS, "cap": SEARCH_CAP}
     return MobiusVolumeResult(curve, sup, best_a, lower, budget)

@@ -31,6 +31,22 @@ SIMPLE_TOL = 1e-9
 MINIMIZING_TOL = 1e-8
 
 
+def _segments(v: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end of each segment of the polygons v (..., k, d), along
+    axis -2: a closed polygon's last segment wraps to vertex 0."""
+    if closed:
+        return v, np.roll(v, -1, axis=-2)
+    return v[..., :-1, :], v[..., 1:, :]
+
+
+def _corners(v: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex, previous and next vertex of each corner of the polygons v
+    (..., k, d), along axis -2: an open polygon's endpoints have no corner."""
+    if closed:
+        return v, np.roll(v, 1, axis=-2), np.roll(v, -1, axis=-2)
+    return v[..., 1:-1, :], v[..., :-2, :], v[..., 2:, :]
+
+
 @dataclass
 class PolygonalCurve:
     """Ordered vertices in model coords, joined by geodesic segments."""
@@ -73,10 +89,7 @@ class PolygonalCurve:
         return self.vertices[i], self.vertices[j]
 
     def segment_lengths(self) -> np.ndarray:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0) if self.closed else v[1:]
-        v = v if self.closed else v[:-1]
-        return dist_arrays(self.space, v, w)
+        return dist_arrays(self.space, *_segments(self.vertices, self.closed))
 
     def length(self) -> float:
         return float(np.sum(self.segment_lengths()))
@@ -333,8 +346,7 @@ def point_segment_distance(space: SpaceForm, p, a, b) -> float:
 
 def _segment_ends(curve: PolygonalCurve) -> tuple[np.ndarray, np.ndarray]:
     """Canonical start and end points of every segment, each (n_segments, m)."""
-    v = embed(curve.space, curve.vertices)
-    return v[: curve.n_segments], np.roll(v, -1, axis=0)[: curve.n_segments]
+    return _segments(embed(curve.space, curve.vertices), curve.closed)
 
 
 def _segment_distances(kind: Kind, pc: np.ndarray, curve: PolygonalCurve) -> np.ndarray:
@@ -365,22 +377,21 @@ def _nonadjacent_pairs(nseg: int, closed: bool) -> tuple[np.ndarray, np.ndarray]
     return i[keep], j[keep]
 
 
-def validate(curve: PolygonalCurve, tol: float = SIMPLE_TOL) -> SimplicityReport:
+def validate(curve: PolygonalCurve) -> SimplicityReport:
     """Check the curve is well formed and simple.
 
     simple = no two non-adjacent segments intersect and adjacent segments
-    meet only at the shared vertex.  Non-adjacent proximity below tol counts
-    as an intersection.
+    meet only at the shared vertex.  Non-adjacent proximity below SIMPLE_TOL
+    counts as an intersection.
     """
     violations: list[str] = []
-    k = curve.k
-    if k < (3 if curve.closed else 2):
+    if curve.k < (3 if curve.closed else 2):
         violations.append("too few vertices")
         return SimplicityReport(False, violations)
 
     lens = curve.segment_lengths()
     for i, ell in enumerate(lens):
-        if ell < tol:
+        if ell < SIMPLE_TOL:
             violations.append(f"coincident consecutive vertices at segment {i}")
     if curve.space.kind is Kind.SPHERE:
         for i, ell in enumerate(lens):
@@ -390,31 +401,25 @@ def validate(curve: PolygonalCurve, tol: float = SIMPLE_TOL) -> SimplicityReport
         return SimplicityReport(False, violations)
 
     # adjacent segments: a zero interior angle means the curve retraces itself
-    v = curve.vertices
-    idx = np.arange(k) if curve.closed else np.arange(1, k - 1)
-    ang = vertex_angle_arrays(curve.space, v[idx], v[(idx - 1) % k], v[(idx + 1) % k])
-    violations += [f"cusp overlap at vertex {i}" for i in idx[ang < tol]]
+    violations += [f"cusp overlap at vertex {i}" for i in cusp_vertices(curve)]
 
     i, j = _nonadjacent_pairs(curve.n_segments, curve.closed)
     if i.size:
         a, b = _segment_ends(curve)
         d = _segseg_can(curve.space.kind, a[i], b[i], a[j], b[j])
         violations += [f"segments {si} and {sj} intersect (distance {dd:.2e})"
-                       for si, sj, dd in zip(i, j, d) if dd < tol]
+                       for si, sj, dd in zip(i, j, d) if dd < SIMPLE_TOL]
 
     return SimplicityReport(not violations, violations)
 
 
-def simple_mask_euclidean(vertices: np.ndarray, closed: bool = True, tol: float = SIMPLE_TOL) -> np.ndarray:
+def simple_mask_euclidean(vertices: np.ndarray, closed: bool = True) -> np.ndarray:
     """Vectorized simplicity test for a batch of Euclidean polygons (B, k, d)."""
     v = np.asarray(vertices, dtype=float)
-    b, k, _ = v.shape
-    ok = np.ones(b, dtype=bool)
-    nxt = np.roll(v, -1, axis=1) if closed else v[:, 1:]
-    cur = v if closed else v[:, :-1]
-    ok &= np.all(np.linalg.norm(nxt - cur, axis=-1) > tol, axis=1)
-    for i, j in zip(*_nonadjacent_pairs(k if closed else k - 1, closed)):
-        ok &= _segseg_euclid(v[:, i], v[:, (i + 1) % k], v[:, j], v[:, (j + 1) % k]) > tol
+    cur, nxt = _segments(v, closed)
+    ok = np.all(np.linalg.norm(nxt - cur, axis=-1) > SIMPLE_TOL, axis=1)
+    for i, j in zip(*_nonadjacent_pairs(cur.shape[1], closed)):
+        ok &= _segseg_euclid(cur[:, i], nxt[:, i], cur[:, j], nxt[:, j]) > SIMPLE_TOL
     return ok
 
 
@@ -425,28 +430,18 @@ def simple_mask_euclidean(vertices: np.ndarray, closed: bool = True, tol: float 
 
 def turning_angles(curve: PolygonalCurve) -> np.ndarray:
     """Exterior angle (pi - interior angle) at each interior vertex."""
-    v = curve.vertices
-    k = curve.k
-    if curve.closed:
-        if k < 3:
+    if curve.k < 3:
+        if curve.closed:
             raise GeometryError("closed curve needs at least 3 vertices")
-        p = v
-        u = np.roll(v, 1, axis=0)
-        w = np.roll(v, -1, axis=0)
-    else:
-        if k < 3:
-            return np.zeros(0)
-        p = v[1:-1]
-        u = v[:-2]
-        w = v[2:]
-    interior = vertex_angle_arrays(curve.space, p, u, w)
+        return np.zeros(0)
+    interior = vertex_angle_arrays(curve.space, *_corners(curve.vertices, curve.closed))
     return np.pi - interior
 
 
-def cusp_vertices(curve: PolygonalCurve, tol: float = 1e-9) -> list[int]:
-    """Indices of interior vertices whose exterior angle equals pi within tol."""
+def cusp_vertices(curve: PolygonalCurve) -> list[int]:
+    """Indices of interior vertices whose exterior angle equals pi within SIMPLE_TOL."""
     ang = turning_angles(curve)
-    hits = np.nonzero(np.pi - ang < tol)[0]
+    hits = np.nonzero(np.pi - ang < SIMPLE_TOL)[0]
     offset = 0 if curve.closed else 1
     return [int(i) + offset for i in hits]
 
@@ -459,12 +454,7 @@ def total_curvature(curve: PolygonalCurve) -> float:
 def total_curvature_batch(space: SpaceForm, vertices: np.ndarray, closed: bool = True) -> np.ndarray:
     """Total curvature of a batch of polygons (B, k, d) in model coords."""
     v = np.asarray(vertices, dtype=float)
-    if closed:
-        p, u, w = v, np.roll(v, 1, axis=1), np.roll(v, -1, axis=1)
-    else:
-        p, u, w = v[:, 1:-1], v[:, :-2], v[:, 2:]
-    interior = vertex_angle_arrays(space, p, u, w)
-    return np.sum(np.pi - interior, axis=-1)
+    return np.sum(np.pi - vertex_angle_arrays(space, *_corners(v, closed)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +468,8 @@ def tangent_indicatrix(curve: PolygonalCurve) -> SphericalPolygon:
         raise GeometryError("tangent indicatrix is defined for Euclidean curves")
     if not curve.closed:
         raise GeometryError("tangent indicatrix needs a closed curve")
-    diffs = np.roll(curve.vertices, -1, axis=0) - curve.vertices
+    start, end = _segments(curve.vertices, True)
+    diffs = end - start
     norms = np.linalg.norm(diffs, axis=-1, keepdims=True)
     if np.any(norms < 1e-14):
         raise GeometryError("zero-length segment")
@@ -487,15 +478,12 @@ def tangent_indicatrix(curve: PolygonalCurve) -> SphericalPolygon:
 
 def spherical_length(poly: SphericalPolygon) -> float:
     """Sum of the arc lengths between consecutive vertices."""
-    v = poly.vertices
-    w = np.roll(v, -1, axis=0) if poly.closed else v[1:]
-    u = v if poly.closed else v[:-1]
-    return float(np.sum(_half_angle(u, w)))
+    return float(np.sum(_half_angle(*_segments(poly.vertices, poly.closed))))
 
 
 def indicatrix_length_batch(vertices: np.ndarray) -> np.ndarray:
     """Spherical length of the tangent indicatrix for a batch (B, k, d)."""
-    v = np.asarray(vertices, dtype=float)
-    diffs = np.roll(v, -1, axis=1) - v
+    start, end = _segments(np.asarray(vertices, dtype=float), True)
+    diffs = end - start
     t = diffs / np.sqrt(np.einsum("...i,...i->...", diffs, diffs))[..., None]
-    return np.sum(_half_angle(t, np.roll(t, -1, axis=1)), axis=-1)
+    return np.sum(_half_angle(*_segments(t, True)), axis=-1)

@@ -29,6 +29,7 @@ from .errors import (
 )
 
 ANTIPODAL_TOL = 1e-8
+POINT_COORDS_TOL = 1e-6  # the model-constraint error check_point_coords allows
 
 
 class Kind(str, Enum):
@@ -132,18 +133,18 @@ class Point:
         return convert(self, model)
 
 
-def check_point_coords(space: SpaceForm, x: np.ndarray, tol: float = 1e-6) -> None:
-    """Raise if coords violate the model constraint by more than tol."""
+def check_point_coords(space: SpaceForm, x: np.ndarray) -> None:
+    """Raise if coords violate the model constraint by more than POINT_COORDS_TOL."""
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise GeometryError("non-finite coordinates")
     if space.model is Model.UNIT_SPHERE:
         err = np.abs(np.linalg.norm(x, axis=-1) - 1.0)
-        if np.any(err > tol):
+        if np.any(err > POINT_COORDS_TOL):
             raise GeometryError(f"point off the unit sphere by {float(np.max(err)):.3e}")
     elif space.model is Model.HYPERBOLOID:
         q = x[..., 0] ** 2 - np.sum(x[..., 1:] ** 2, axis=-1)
-        if np.any(np.abs(q - 1.0) > 10 * tol) or np.any(x[..., 0] <= 0):
+        if np.any(np.abs(q - 1.0) > 10 * POINT_COORDS_TOL) or np.any(x[..., 0] <= 0):
             raise GeometryError("point off the hyperboloid sheet")
     elif space.model is Model.POINCARE_BALL:
         r = np.linalg.norm(x, axis=-1)

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ConstructionError, GeometryError
-from .polycurve import PolygonalCurve, total_curvature, validate
+from .polycurve import PolygonalCurve, _segments, total_curvature, validate
 from .spaceform import SpaceForm, _half_angle, as_rng
 
 FLAG_TOL = 1e-8  # antipodal / great-circle detection
@@ -98,12 +98,8 @@ def analytic_bound(k: int, closed: bool, theta=0.0):
 
 def _length_theta(p: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Length and endpoint separation theta (0 when closed) of (..., k, n) configurations."""
-    if closed:
-        segs = _half_angle(p, np.roll(p, -1, axis=-2))
-        theta = np.zeros(p.shape[:-2])
-    else:
-        segs = _half_angle(p[..., :-1, :], p[..., 1:, :])
-        theta = _half_angle(p[..., 0, :], p[..., -1, :])
+    segs = _half_angle(*_segments(p, closed))
+    theta = np.zeros(p.shape[:-2]) if closed else _half_angle(p[..., 0, :], p[..., -1, :])
     return np.sum(segs, axis=-1), theta
 
 

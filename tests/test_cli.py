@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from curvebound import hexagonal_trefoil, latitude_circle_curve
+from curvebound import cli
 from curvebound.cli import main, pi_multiple, sig12
 
 from conftest import random_simple_polygons
@@ -307,6 +309,15 @@ def test_cone_density_cases(capsys, square_file):
     assert "--point" in err
 
 
+def test_cone_density_tol_decides_the_case(capsys, square_file):
+    # 5e-9 off edge 0: on the curve at --tol 1e-6, off it at --tol 1e-10
+    for tol, case in (("1e-6", "on_edge"), ("1e-10", "off_curve")):
+        code, rep, err = run_json(
+            capsys, ["cone-density", square_file, "--point", "0.5,5e-9,0", "--tol", tol])
+        assert code == 0, err
+        assert rep["results"]["case"] == case
+
+
 def test_hyp_density_pass_and_fail(capsys, circle_file, spiral_file):
     code, rep, _ = run_json(capsys, ["hyp-density", circle_file])
     assert code == 0
@@ -341,6 +352,22 @@ def test_h2xr_check_json_and_csv(capsys):
     lines = out.splitlines()
     assert lines[0] == "graph,r,ratio,excess"
     assert len(lines) == 9  # header + 2 graphs x 4 radii
+
+
+def test_h2xr_check_excess_ignores_rounding_digits(capsys, monkeypatch):
+    # the decay graph's excess at r = 8 is about nine ulps of 2 pi: the report
+    # gives it in multiples of EXCESS_QUANTUM, so a one-ulp change of the ratio
+    # leaves it as it is
+    argv = ["h2xr-check", "--budget", "2", "--radii", "4,8"]
+    _, rep, _ = run_json(capsys, argv)
+    sweep = rep["results"]["end_curve_sweep"]
+    assert [row["excess"] for row in sweep if row["graph"] == "decay"] == [4.1518764e-06, 8e-12]
+    real = cli.end_curve_ratio
+    monkeypatch.setattr(cli, "end_curve_ratio",
+                        lambda f, df, r: math.nextafter(real(f, df, r), math.inf))
+    _, nudged, _ = run_json(capsys, argv)
+    assert [row["excess"] for row in nudged["results"]["end_curve_sweep"]] == \
+        [row["excess"] for row in sweep]
 
 
 def test_h2xr_check_large_radii(capsys):

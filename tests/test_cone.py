@@ -16,6 +16,7 @@ from curvebound import (
     certify_embedded,
     cone_angle,
     cone_angle_sampled,
+    convert_coords,
     density_report,
     geodesic_point,
     hexagonal_trefoil,
@@ -39,6 +40,23 @@ from conftest import (
 )
 
 DUAL_ROUTE_TOL = 1e-6
+
+
+FIVE_MODELS = [SpaceForm.euclidean(3), SpaceForm.sphere(3), SpaceForm.sphere(3, Model.STEREO_BALL),
+               SpaceForm.hyperbolic(3), SpaceForm.hyperbolic(3, Model.HYPERBOLOID)]
+FIVE_IDS = ["E3", "S3", "S3-stereo", "H3-ball", "H3-hyperboloid"]
+
+
+def model_polygon(space, rng, k):
+    """Vertices, in space.model coords, of a random simple k-gon of size about
+    0.2 near the chart origin (the north pole on the sphere)."""
+    verts = 0.15 * random_simple_polygons(rng, 1, k=k)[0]
+    if space.kind is Kind.SPHERE:
+        verts = np.concatenate([verts, np.ones((k, 1))], axis=1)
+        return unembed(space, verts / np.linalg.norm(verts, axis=-1, keepdims=True))
+    if space.kind is Kind.HYPERBOLIC:
+        return convert_coords(SpaceForm.hyperbolic(3), verts, space.model)
+    return verts
 
 
 def unit_square():
@@ -205,8 +223,10 @@ def test_square_corner_density():
 
 
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
-@pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.sphere(3)],
-                         ids=["E3", "S3"])
+@pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.sphere(3),
+                                   SpaceForm.hyperbolic(3),
+                                   SpaceForm.hyperbolic(3, Model.HYPERBOLOID)],
+                         ids=["E3", "S3", "H3-ball", "H3-hyperboloid"])
 def test_on_curve_chain_angle_matches_segment_loop(space, closed, rng):
     """The one-call chain angle against a per-segment sum that skips the
     segments through the apex; nine vertices take numpy's sum past its
@@ -215,6 +235,8 @@ def test_on_curve_chain_angle_matches_segment_loop(space, closed, rng):
     if space.kind is Kind.SPHERE:
         verts = np.concatenate([0.2 * verts, np.ones((9, 1))], axis=1)
         verts /= np.linalg.norm(verts, axis=-1, keepdims=True)
+    elif space.kind is Kind.HYPERBOLIC:
+        verts = convert_coords(SpaceForm.hyperbolic(3), 0.15 * verts, space.model)
     curve = PolygonalCurve(space, verts, closed=closed)
     edge_point = geodesic_point(space, verts[5], verts[6], 0.3).coords
     for x, case, skip in ((verts[3], DensityCase.AT_VERTEX, {2, 3}),
@@ -225,6 +247,55 @@ def test_on_curve_chain_angle_matches_segment_loop(space, closed, rng):
                    for s in range(curve.n_segments) if s not in skip)
         assert rep.angle == pytest.approx(want, rel=0.0, abs=1e-13)
         assert rep.bound_applied == on_curve_bound(space, x, curve)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("space", FIVE_MODELS, ids=FIVE_IDS)
+def test_density_kernel_batch_matches_per_apex(space, closed, rng):
+    """One batched kernel call against one call per apex, bit for bit: three
+    vertices (both ends of an open curve among them), two edge points and
+    hull samples off the curve, on curves of five and nine vertices."""
+    tol = cone.ON_CURVE_TOL
+    for k in (5, 9):
+        verts = model_polygon(space, rng, k)
+        curve = PolygonalCurve(space, verts, closed=closed)
+        edges = [geodesic_point(space, verts[i], verts[i + 1], 0.4).coords for i in (0, 2)]
+        apexes = np.concatenate([verts[[0, 1, k - 1]], edges, hull_sample(space, verts, 6, rng=1)])
+        angle, case, index = cone._densities(space, apexes, curve, tol)
+        assert [cone._CASES[c] for c in case] == (
+            [DensityCase.AT_VERTEX] * 3 + [DensityCase.ON_EDGE] * 2 + [DensityCase.OFF_CURVE] * 6)
+        assert index.tolist() == [0, 1, k - 1, 0, 2] + [-1] * 6
+        for i, x in enumerate(apexes):
+            one = cone._densities(space, x[None], curve, tol)
+            assert (one[0][0], one[1][0], one[2][0]) == (angle[i], case[i], index[i])
+        # an open curve's ends (rows 0 and 2) have no bound
+        rows = np.arange(len(apexes)) if closed else np.r_[1, 3:len(apexes)]
+        for i, bound in zip(rows, cone._bounds(curve, case[rows], index[rows])):
+            rep = density_report(space, apexes[i], curve)
+            assert (rep.angle, rep.case, rep.bound_applied) == (
+                angle[i], cone._CASES[case[i]], bound)
+
+
+def test_density_report_tol_decides_on_or_off_curve():
+    # 5e-9 off edge 0, inside the square
+    sq, space = unit_square(), SpaceForm.euclidean(3)
+    p = np.array([0.5, 5e-9, 0.0])
+    off = density_report(space, p, sq, tol=1e-10)
+    assert off.case is DensityCase.OFF_CURVE
+    assert off.density == pytest.approx(1.0, abs=1e-6)
+    assert density_report(space, p, sq, tol=1e-6).case is DensityCase.ON_EDGE
+
+
+def test_open_curve_ends_have_no_bound():
+    chain = euclidean_curve([[0, 0, 0], [1, 0, 0], [1, 1, 0]], closed=False)
+    space = SpaceForm.euclidean(3)
+    for end in chain.vertices[[0, -1]]:
+        for fn in (density_report, on_curve_bound):
+            with pytest.raises(GeometryError, match="no exterior angle at an open-curve endpoint"):
+                fn(space, end, chain)
+        with pytest.raises(OnCurveError):
+            cone_angle(space, end, chain)
+    assert on_curve_bound(space, chain.vertices[1], chain) == pytest.approx(1.25)
 
 
 def test_on_curve_bound_rejects_off_curve_point():
