@@ -363,8 +363,8 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
 
     Designed for 5-gon boundaries, where the density bounds are sharp enough
     to always certify; longer knotted boundaries are expected to fail and
-    come back Inconclusive.  Distances are closed forms (the segment pairs
-    of the simplicity check add a damped Newton solve), and all samples go
+    come back Inconclusive.  Distances are closed forms, those of the
+    simplicity check's segment pairs too, and all samples go
     through the density kernel in one batch; samples within tol of the curve
     get the on-curve chain angle and bound.  The worst sample is the first of
     least margin.  Verdict Certified means every hull sample satisfied its

@@ -225,112 +225,96 @@ def _point_seg_can(kind: Kind, p, a, b) -> np.ndarray:
     return np.where(inside, foot, ends)
 
 
-NEWTON_MAX_STEPS = 64
-MAX_HALVINGS = 4
+def _recentre(a0, a1, b0, b1) -> tuple[np.ndarray, ...]:
+    """The four hyperboloid points moved by the boost that takes the midpoint
+    of [a0, a1] to (1, 0, ..., 0).
+
+    Far from the origin hyperboloid coordinates are large and the products
+    that project onto a geodesic plane cancel their leading digits; after the
+    boost the pair sits around the origin.  With w the spatial part of the
+    midpoint and c0 = sqrt(1 + |w|^2) the boost is
+    x -> (c0 x0 - <w, x'>, x' - (x0 - <w, x'> / (1 + c0)) w), and each image is
+    scaled back onto the hyperboloid.
+    """
+    mid = a0 + a1
+    w = mid[..., 1:] / np.sqrt(-_mink_dot(mid, mid))[..., None]
+    c0 = np.sqrt(1.0 + np.sum(w * w, axis=-1, keepdims=True))
+    moved = []
+    for x in (a0, a1, b0, b1):
+        x0, wx = x[..., :1], np.sum(w * x[..., 1:], axis=-1, keepdims=True)
+        y = np.concatenate([c0 * x0 - wx, x[..., 1:] - (x0 - wx / (1.0 + c0)) * w], axis=-1)
+        moved.append(y / np.sqrt(-_mink_dot(y, y))[..., None])
+    return tuple(moved)
 
 
-def _newton_moves(kind: Kind, a0, u, b0, v, s, t, p, q) -> tuple[np.ndarray, np.ndarray]:
-    """The Newton step for the pair at (s, t), split as (flatter, steeper) part.
+def _mid_frame(kind: Kind, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoint c of the segment [a, b], unit tangent u at c towards b and
+    half-length h: the segment is cos(s) c + sin(s) u (sphere) or
+    cosh(s) c + sinh(s) u (hyperboloid) for s in [-h, h]."""
+    c = a + b
+    c = c / np.sqrt(_CURVATURE[kind] * _inner(kind, c, c))[..., None]
+    return (c, *_frame_can(kind, c, b))
 
-    Newton's method minimizes E(s, t) = -<p, q>, p = gamma1(s), q = gamma2(t):
-    cos(d) negated on the sphere, cosh(d) on the hyperboloid.  Its Hessian
-    [[h, e], [e, h]], h = K <p, q>, e = -<p', q'>, has eigenvectors (1, 1)
-    and (1, -1), so the step is two 1-D steps, with gradients
-    <p' -+ q', p - q> and curvatures h +- e = (|p' -+ q'|^2 - K |p - q|^2) / 2.
-    Formed from these differences they keep their digits for segments that
-    cross at a small angle or run nearly parallel, where h^2 - e^2 cancels.
-    No step is taken along a curvature <= 0.  Each part is a (ds, dt) pair in
-    the last axis.
+
+def _closest_on_b(kind: Kind, a, u, ha, b, v, hb) -> np.ndarray:
+    """Distance between the segments at the point of B nearest A's geodesic.
+
+    A runs from its midpoint a along u for s in [-ha, ha], B from its
+    midpoint b along v for t in [-hb, hb].  With n(z) the part of z normal to
+    A's geodesic plane, z lies at distance arcsin |n(z)| (sphere) or
+    arcsinh |n(z)| (hyperboloid) from A's geodesic, and for nb = n(b),
+    nv = n(v):
+    - sphere: n(gamma2(t)) = cos t nb + sin t nv, and
+      |n|^2 = C + (|nb|^2 - |nv|^2) cos(2t) / 2 + <nb, nv> sin(2t) is least at
+      t* = atan2(-2 <nb, nv>, |nv|^2 - |nb|^2) / 2, taken mod pi into
+      [-pi/2, pi/2), the one minimum there, which holds B as hb < pi/2;
+    - hyperboloid: n(gamma2(t)) = cosh t nb + sinh t nv = (e^t p + e^-t q) / 2,
+      p = nb + nv, q = nb - nv, is least at t* = log(|q| / |p|) / 2.
+    t* clipped to [-hb, hb] and the foot s* of gamma2(t*) on A's geodesic,
+    clipped to [-ha, ha], give the candidate: the pair's minimum lies there
+    or at an endpoint of a segment, whose distances the caller takes.  The
+    value is the distance of two points of the segments, so it never
+    undercuts the distance of the pair.
     """
     curv = _CURVATURE[kind]
-    dp, dq = _along(kind, u, -curv * a0, s), _along(kind, v, -curv * b0, t)
-    diff = p - q
-    chord = curv * _inner(kind, diff, diff)
-    parts, lams = [], []
-    for w, axis in ((dp - dq, (1.0, 1.0)), (dp + dq, (1.0, -1.0))):
-        grad, lam = _inner(kind, w, diff), 0.5 * (_inner(kind, w, w) - chord)
-        move = np.where(lam > 0.0, -0.5 * grad / np.where(lam > 0.0, lam, 1.0), 0.0)
-        parts.append(move[..., None] * np.array(axis))
-        lams.append(lam[..., None])
-    flat_first = lams[0] < lams[1]
-    return (np.where(flat_first, parts[0], parts[1]),
-            np.where(flat_first, parts[1], parts[0]))
 
+    def normal(z):
+        return z - (curv * _inner(kind, z, a))[..., None] * a - _inner(kind, z, u)[..., None] * u
 
-def _pair_newton(kind: Kind, a0, u, ell, b0, v, m, s, t) -> np.ndarray:
-    """Least distance reached by damped Newton steps for the pair from (s, t).
-
-    Iterates stay in the (s, t) box.  A step that lengthens the distance is
-    retried without its flatter part, whose curvature may be lost to
-    rounding far from the minimum, and then halved up to MAX_HALVINGS
-    times: near an interior minimum full steps succeed, and a minimum on the
-    box edge is an endpoint distance.  A step that moves less than 1e-14
-    counts as failed too.  Each pair's iterates depend on that pair alone,
-    so it gives the same result alone or in a batch.
-    """
-    p, q = _along(kind, a0, u, s), _along(kind, b0, v, t)
-    best = _dist_can(kind, p, q)
-    flat, steep = _newton_moves(kind, a0, u, b0, v, s, t, p, q)
-    w_flat, w_steep = np.ones(np.shape(s) + (1,)), np.ones(np.shape(s) + (1,))
-    done = np.zeros(np.shape(s), dtype=bool)
-    for _ in range(NEWTON_MAX_STEPS):
-        step = np.where(done[..., None], 0.0, w_flat * flat + w_steep * steep)
-        s_try, t_try = np.clip(s + step[..., 0], 0.0, ell), np.clip(t + step[..., 1], 0.0, m)
-        moving = np.maximum(np.abs(s_try - s), np.abs(t_try - t)) > 1e-14
-        done |= (~moving & (w_flat[..., 0] == 0.0)) | (w_steep[..., 0] < 0.5**MAX_HALVINGS)
-        if np.all(done):
-            break
-        p, q = _along(kind, a0, u, s_try), _along(kind, b0, v, t_try)
-        d = _dist_can(kind, p, q)
-        take = moving & ~done & (d <= best)
-        new_flat, new_steep = _newton_moves(kind, a0, u, b0, v, s_try, t_try, p, q)
-        best = np.where(take, d, best)
-        s, t = np.where(take, s_try, s), np.where(take, t_try, t)
-        take = take[..., None]
-        flat, steep = np.where(take, new_flat, flat), np.where(take, new_steep, steep)
-        w_steep = np.where(take, 1.0, np.where(w_flat > 0.0, w_steep, 0.5 * w_steep))
-        w_flat = np.where(take, 1.0, 0.0)
-    return best
-
-
-def _pair_starts(kind: Kind, a0, u, ell, b0, v, m) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Starting points from which Newton's method reaches an interior minimum.
-
-    On H^n distance between geodesics is jointly convex, so the box centre
-    will do.  On the sphere <p, q> = (cos s, sin s) G (cos t, sin t)^T with G
-    the 2x2 Gram matrix of the frames (a0, u) and (b0, v); its only interior
-    local maxima are +-(first left, first right singular vector of G).  When
-    the singular values tie (isoclinic planes, as for Hopf fibres of S^3) the
-    maxima form a line that meets the box edges, where the endpoint
-    distances find them.
-    """
-    if kind is Kind.HYPERBOLIC:
-        return [(0.5 * ell, 0.5 * m)]
-    gram = np.stack([np.stack([_inner(kind, a0, b0), _inner(kind, a0, v)], -1),
-                     np.stack([_inner(kind, u, b0), _inner(kind, u, v)], -1)], -2)
-    left, _, right = np.linalg.svd(gram)
-    return [(np.clip(np.arctan2(sign * left[..., 1, 0], sign * left[..., 0, 0]), 0.0, ell),
-             np.clip(np.arctan2(sign * right[..., 0, 1], sign * right[..., 0, 0]), 0.0, m))
-            for sign in (1.0, -1.0)]
+    nb, nv = normal(b), normal(v)
+    if kind is Kind.SPHERE:
+        t = 0.5 * np.arctan2(-2.0 * _inner(kind, nb, nv), _inner(kind, nv, nv) - _inner(kind, nb, nb))
+        t = np.clip((t + 0.5 * np.pi) % np.pi - 0.5 * np.pi, -hb, hb)
+        q = _along(kind, b, v, t)
+        s = np.arctan2(_inner(kind, q, u), _inner(kind, q, a))
+    else:
+        plus, minus = nb + nv, nb - nv
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 0 / 0 when B runs along A's geodesic, where every t is critical
+            t = 0.25 * np.log(_inner(kind, minus, minus) / _inner(kind, plus, plus))
+            t = np.clip(np.nan_to_num(t), -hb, hb)
+            q = _along(kind, b, v, t)
+            s = np.arctanh(np.clip(_inner(kind, q, u) / -_inner(kind, q, a), -1.0, 1.0))
+    return _dist_can(kind, _along(kind, a, u, np.clip(s, -ha, ha)), q)
 
 
 def _segseg_can(kind: Kind, a0, a1, b0, b1) -> np.ndarray:
     """Min distance between segments [a0, a1] and [b0, b1], canonical coords.
 
-    The minimum is at an endpoint of one segment or at an interior critical
-    point of the pair; both are taken in closed form or by a converged solve.
+    The minimum is at an endpoint of one segment, each taken by
+    _point_seg_can, or at the interior point _closest_on_b finds in closed
+    form; on the hyperboloid both run on the pair moved by _recentre.
     """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
     if kind is Kind.EUCLIDEAN:
         return _segseg_euclid(a0, a1, b0, b1)
+    if kind is Kind.HYPERBOLIC:
+        a0, a1, b0, b1 = _recentre(a0, a1, b0, b1)
     ends = np.minimum(
         np.minimum(_point_seg_can(kind, a0, b0, b1), _point_seg_can(kind, a1, b0, b1)),
         np.minimum(_point_seg_can(kind, b0, a0, a1), _point_seg_can(kind, b1, a0, a1)),
     )
-    frames = (a0, *_frame_can(kind, a0, a1), b0, *_frame_can(kind, b0, b1))
-    for s, t in _pair_starts(kind, *frames):
-        ends = np.minimum(ends, _pair_newton(kind, *frames, s, t))
-    return ends
+    return np.minimum(ends, _closest_on_b(kind, *_mid_frame(kind, a0, a1), *_mid_frame(kind, b0, b1)))
 
 
 def segment_pair_distance(space: SpaceForm, a0, a1, b0, b1) -> float:

@@ -46,10 +46,10 @@ def _ambient_inner(kind, a, b):
     return np.sum(prod, axis=-1)
 
 
-def curved_frame(kind, rng, scale: float, count: int = 2):
-    """A random point x of S^3 or H^3 in canonical coords and ``count``
+def curved_frame(kind, rng, scale: float, count: int = 2, dim: int = 3):
+    """A random point x of S^dim or H^dim in canonical coords and ``count``
     orthonormal tangent vectors at x."""
-    y = rng.standard_normal(3) * scale
+    y = rng.standard_normal(dim) * scale
     if kind is Kind.SPHERE:
         x = np.concatenate([[1.0], y])
         x /= np.linalg.norm(x)
@@ -58,7 +58,7 @@ def curved_frame(kind, rng, scale: float, count: int = 2):
     curv = _ambient_inner(kind, x, x)
     frame = []
     for _ in range(count):
-        w = rng.standard_normal(4)
+        w = rng.standard_normal(dim + 1)
         w = w - _ambient_inner(kind, w, x) / curv * x
         for e in frame:
             w = w - _ambient_inner(kind, w, e) * e

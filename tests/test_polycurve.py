@@ -143,23 +143,48 @@ def test_point_curve_distance():
 CURVED_SPACES = [SpaceForm.hyperbolic(3), SpaceForm.sphere(3)]
 
 
-def crossing_ends(kind, rng, alpha):
-    """Endpoints of two segments that cross at an interior point at angle alpha."""
-    x, (t1, t2) = curved_frame(kind, rng, 0.5)
+def crossing_ends(kind, rng, alpha, dim=3, scale=0.5, longest=0.6):
+    """Endpoints of two segments that cross at an interior point at angle alpha,
+    around a point drawn at chart scale ``scale``."""
+    x, (t1, t2) = curved_frame(kind, rng, scale, dim=dim)
     e2 = np.cos(alpha) * t1 + np.sin(alpha) * t2
-    a, b, c, d = rng.uniform(0.05, 0.6, 4)
+    a, b, c, d = rng.uniform(0.05, longest, 4)
     return (exp_can(kind, x, t1, -a), exp_can(kind, x, t1, b),
             exp_can(kind, x, e2, -c), exp_can(kind, x, e2, d))
 
 
-@pytest.mark.parametrize("space", CURVED_SPACES, ids=["H3", "S3"])
-@pytest.mark.parametrize("alpha", [1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3])
-def test_crossing_segments_have_zero_distance(space, alpha):
+# (space, chart scale, longest half-segment); the last case lies far from the
+# base point, where the hyperboloid's coordinates run into the hundreds
+CROSSING_CASES = {
+    "S2": (SpaceForm.sphere(2), 0.5, 0.6),
+    "S3": (SpaceForm.sphere(3), 0.5, 0.6),
+    "S5": (SpaceForm.sphere(5), 0.5, 0.6),
+    "H2": (SpaceForm.hyperbolic(2), 0.5, 0.6),
+    "H3": (SpaceForm.hyperbolic(3), 0.5, 0.6),
+    "H2-far": (SpaceForm.hyperbolic(2, Model.HYPERBOLOID), 8.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", CROSSING_CASES)
+@pytest.mark.parametrize("alpha", [1e-12, 1e-9, 1e-7, 1e-5, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3])
+def test_crossing_segments_have_zero_distance(case, alpha):
+    space, scale, longest = CROSSING_CASES[case]
     rng = np.random.default_rng(31)
     for _ in range(10):
-        ends = crossing_ends(space.kind, rng, alpha)
+        ends = crossing_ends(space.kind, rng, alpha, space.dim, scale, longest)
         d = segment_pair_distance(space, *(unembed(space, e) for e in ends))
         assert d < SIMPLE_TOL
+
+
+@pytest.mark.parametrize("case", CROSSING_CASES)
+def test_crossing_distance_is_rounding_noise(case):
+    # the crossing is found to within rounding at every angle, also far out
+    space, scale, longest = CROSSING_CASES[case]
+    rng = np.random.default_rng(32)
+    for alpha in (1e-12, 1e-9, 1e-7, 1e-5, 1e-3):
+        for _ in range(20):
+            ends = crossing_ends(space.kind, rng, alpha, space.dim, scale, longest)
+            assert segment_pair_distance(space, *(unembed(space, e) for e in ends)) < 1e-13
 
 
 @pytest.mark.parametrize("space", CURVED_SPACES, ids=["H3", "S3"])
@@ -173,6 +198,22 @@ def test_validate_rejects_curved_bowtie(space):
         verts = [exp_can(space.kind, x, t1, -a), exp_can(space.kind, x, t1, b),
                  exp_can(space.kind, x, e2, -c), exp_can(space.kind, x, e2, d),
                  exp_can(space.kind, x, t3, r)]
+        rep = validate(PolygonalCurve(space, unembed(space, np.array(verts))))
+        assert not rep.simple
+        assert any(v.startswith("segments 0 and 2 intersect") for v in rep.violations)
+
+
+def test_validate_rejects_small_angle_crossing_on_sphere():
+    # segments 0 and 2 cross at x at 1e-7 rad with their back ends 0.02 apart;
+    # vertex 4 leaves the plane
+    space = SpaceForm.sphere(3)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        x, (t1, t2, t3) = curved_frame(space.kind, rng, 0.4, count=3)
+        e2 = np.cos(1e-7) * t1 + np.sin(1e-7) * t2
+        verts = [exp_can(space.kind, x, t1, -0.55), exp_can(space.kind, x, t1, 0.25),
+                 exp_can(space.kind, x, e2, -0.53), exp_can(space.kind, x, e2, 0.45),
+                 exp_can(space.kind, x, t3, 0.3)]
         rep = validate(PolygonalCurve(space, unembed(space, np.array(verts))))
         assert not rep.simple
         assert any(v.startswith("segments 0 and 2 intersect") for v in rep.violations)

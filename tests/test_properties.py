@@ -97,6 +97,18 @@ def test_segment_pair_distance_isometry_invariant(space, seed):
 @pytest.mark.parametrize("space", MODELS, ids=ids)
 @property_settings
 @given(seed=seeds)
+def test_segment_pair_distance_symmetric(space, seed):
+    # swapping the segments, or reversing both, leaves the two point sets as they are
+    rng = np.random.default_rng(seed)
+    a0, a1, b0, b1 = chart_points(space, rng, 4)
+    d = segment_pair_distance(space, a0, a1, b0, b1)
+    assert abs(segment_pair_distance(space, b0, b1, a0, a1) - d) < INVARIANCE_TOL
+    assert abs(segment_pair_distance(space, a1, a0, b1, b0) - d) < INVARIANCE_TOL
+
+
+@pytest.mark.parametrize("space", MODELS, ids=ids)
+@property_settings
+@given(seed=seeds)
 def test_cone_angle_isometry_invariant(space, seed):
     rng = np.random.default_rng(seed)
     curve, apex = pentagon(space, rng), chart_points(space, rng, 1)[0]
