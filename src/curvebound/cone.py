@@ -285,9 +285,14 @@ def hull_sample(space: SpaceForm, vertices: np.ndarray, n: int, rng=0,
         weights = np.atleast_2d(np.asarray(weights, dtype=float))
         if weights.shape != (n, k):
             raise GeometryError(f"weights must have shape ({n}, {k})")
+        if not np.all(np.isfinite(weights)):
+            raise GeometryError("weights must be finite")
         if np.any(weights < 0):
             raise GeometryError("weights must be nonnegative")
-        weights = weights / np.sum(weights, axis=-1, keepdims=True)
+        total = np.sum(weights, axis=-1, keepdims=True)
+        if np.any(total <= 0):
+            raise GeometryError("each row of weights must have a positive sum")
+        weights = weights / total
     kind = space.kind
     x = np.broadcast_to(embed(space, v[0]), (n, embed(space, v[0]).shape[-1])).copy()
     acc = weights[:, 0].copy()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, GeometryError
-from .polycurve import PolygonalCurve, _nonadjacent_pairs
+from .polycurve import PAIR_BLOCK, PolygonalCurve, _nonadjacent_pairs
 from .spaceform import Kind, SpaceForm, as_rng
 
 PARALLEL_TOL = 1e-7
@@ -93,43 +93,47 @@ def project(curve: PolygonalCurve, direction) -> Diagram:
     if np.any(len2 < PARALLEL_TOL * len3):
         raise ConstructionError("a segment is nearly parallel to the direction")
 
-    off = idx - idx[:, None]   # off[a, b] = b - a
-    gap = _seg2d_gap(p2[:, None], p2, seg2)   # vertex a against segment b
-    if np.any(gap[(off % k > 0) & (off % k < k - 1)] < COINCIDENCE_TOL * scale):
-        raise ConstructionError("a vertex image lies on a segment image")
+    rows = max(PAIR_BLOCK // k, 1)
+    for first in range(0, k, rows):   # vertex a against segment b, rows of vertices at a time
+        block = idx[first:first + rows]
+        off = (idx - block[:, None]) % k   # off[a, b] = b - a
+        gap = _seg2d_gap(p2[block, None], p2, seg2)
+        if np.any(gap[(off > 0) & (off < k - 1)] < COINCIDENCE_TOL * scale):
+            raise ConstructionError("a vertex image lies on a segment image")
 
-    # the first segment pair, in lexicographic order, that fails a check names the failure
-    i, j = _nonadjacent_pairs(k, True)
-    p, u, q, w = p2[i], seg2[i], p2[j], seg2[j]
-    r = q - p
-    det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-    parallel = np.abs(det) < 1e-12 * len2[i] * len2[j]
-    with np.errstate(divide="ignore", invalid="ignore"):   # det ~ 0 on parallel pairs
-        s = (r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0]) / det
-        t = (r[:, 0] * u[:, 1] - r[:, 1] * u[:, 0]) / det
-        di = depth[i] + s * rise[i]
-        dj = depth[j] + t * rise[j]
-        unseparated = np.abs(di - dj) < DEPTH_TOL * scale
-    crossing = (~parallel & (-PARAM_TOL < s) & (s < 1.0 + PARAM_TOL)
-                & (-PARAM_TOL < t) & (t < 1.0 + PARAM_TOL))
-    overlap = np.zeros_like(parallel)
-    if parallel.any():   # each endpoint against the other segment of the pair
-        ends = np.stack([p, p + u, q, q + w])[:, parallel]
-        starts = ends[[2, 2, 0, 0]]
-        apart = _seg2d_gap(ends, starts, ends[[3, 3, 1, 1]] - starts, 1e-30).min(axis=0)
-        overlap[parallel] = apart < COINCIDENCE_TOL * scale
-    near_vertex = np.minimum(np.minimum(s, 1.0 - s), np.minimum(t, 1.0 - t)) < PARAM_TOL
-    failures = np.stack([overlap, crossing & near_vertex, crossing & unseparated])
-    if failures.any():
-        pair = failures.any(axis=0).argmax()
-        raise ConstructionError(_PAIR_FAILURES[failures[:, pair].argmax()])
-    n = int(crossing.sum())
+    # the first segment pair, in lexicographic order, that fails a check names the failure;
+    # each crossing's over- and under-passage is a (segment, parameter) position
+    passes = []
+    for i, j in _nonadjacent_pairs(k, True):
+        p, u, q, w = p2[i], seg2[i], p2[j], seg2[j]
+        r = q - p
+        det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        parallel = np.abs(det) < 1e-12 * len2[i] * len2[j]
+        with np.errstate(divide="ignore", invalid="ignore"):   # det ~ 0 on parallel pairs
+            s = (r[:, 0] * w[:, 1] - r[:, 1] * w[:, 0]) / det
+            t = (r[:, 0] * u[:, 1] - r[:, 1] * u[:, 0]) / det
+            di = depth[i] + s * rise[i]
+            dj = depth[j] + t * rise[j]
+            unseparated = np.abs(di - dj) < DEPTH_TOL * scale
+        crossing = (~parallel & (-PARAM_TOL < s) & (s < 1.0 + PARAM_TOL)
+                    & (-PARAM_TOL < t) & (t < 1.0 + PARAM_TOL))
+        overlap = np.zeros_like(parallel)
+        if parallel.any():   # each endpoint against the other segment of the pair
+            ends = np.stack([p, p + u, q, q + w])[:, parallel]
+            starts = ends[[2, 2, 0, 0]]
+            apart = _seg2d_gap(ends, starts, ends[[3, 3, 1, 1]] - starts, 1e-30).min(axis=0)
+            overlap[parallel] = apart < COINCIDENCE_TOL * scale
+        near_vertex = np.minimum(np.minimum(s, 1.0 - s), np.minimum(t, 1.0 - t)) < PARAM_TOL
+        failures = np.stack([overlap, crossing & near_vertex, crossing & unseparated])
+        if failures.any():
+            pair = failures.any(axis=0).argmax()
+            raise ConstructionError(_PAIR_FAILURES[failures[:, pair].argmax()])
+        passes += [((a, sa), (b, sb)) if da > db else ((b, sb), (a, sa)) for a, sa, b, sb, da, db
+                   in zip(*(x[crossing].tolist() for x in (i, s, j, t, di, dj)))]
+    n = len(passes)
     if n == 0:
         return Diagram([], 0, [])
 
-    # each crossing's over- and under-passage as a (segment, parameter) position
-    passes = [((a, sa), (b, sb)) if da > db else ((b, sb), (a, sa)) for a, sa, b, sb, da, db
-              in zip(*(x[crossing].tolist() for x in (i, s, j, t, di, dj)))]
     events = sorted([(over, cid, 1) for cid, (over, _) in enumerate(passes)]
                     + [(under, cid, -1) for cid, (_, under) in enumerate(passes)])
     for (pa, _, _), (pb, _, _) in zip(events, events[1:]):

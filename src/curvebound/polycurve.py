@@ -9,6 +9,7 @@ angles; a cusp (exterior angle pi) is reported as a flag, not an error.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .spaceform import (
 
 SIMPLE_TOL = 1e-9
 MINIMIZING_TOL = 1e-8
+PAIR_BLOCK = 1 << 14  # polygon x segment-pair elements per block of a pair walk
 
 
 def _segments(v: np.ndarray, closed: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -85,8 +87,8 @@ class PolygonalCurve:
         return Point(self.vertices[i], self.space)
 
     def segment(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        j = (i + 1) % self.k
-        return self.vertices[i], self.vertices[j]
+        start, end = _segments(self.vertices, self.closed)
+        return start[i], end[i]
 
     def segment_lengths(self) -> np.ndarray:
         return dist_arrays(self.space, *_segments(self.vertices, self.closed))
@@ -123,17 +125,28 @@ class SimplicityReport:
 # ---------------------------------------------------------------------------
 
 
-def _segseg_euclid(p1, q1, p2, q2) -> np.ndarray:
-    """Min distance between segments [p1,q1] and [p2,q2]; batch friendly."""
-    p1, q1, p2, q2 = (np.asarray(a, dtype=float) for a in (p1, q1, p2, q2))
-    d1 = q1 - p1
-    d2 = q2 - p2
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, summed coordinate by coordinate: the
+    value of np.sum(x * y, axis=-1) without its slow reduction of a short axis."""
+    out = x[..., 0] * y[..., 0]
+    for n in range(1, x.shape[-1]):
+        out += x[..., n] * y[..., n]
+    return out
+
+
+def _seg_terms(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start p, direction d = q - p and squared length |d|^2 of each segment [p, q]."""
+    d = q - p
+    return p, d, _dot(d, d)
+
+
+def _segseg_euclid(p1, d1, a, p2, d2, e) -> np.ndarray:
+    """Min distance between segments p1 + [0,1] d1 and p2 + [0,1] d2, given with
+    their squared lengths a and e by _seg_terms; batch friendly."""
     r = p1 - p2
-    a = np.sum(d1 * d1, axis=-1)
-    e = np.sum(d2 * d2, axis=-1)
-    f = np.sum(d2 * r, axis=-1)
-    c = np.sum(d1 * r, axis=-1)
-    b = np.sum(d1 * d2, axis=-1)
+    f = _dot(d2, r)
+    c = _dot(d1, r)
+    b = _dot(d1, d2)
     den = a * e - b * b
     s = np.where(den > 1e-30, (b * f - c * e) / np.where(den > 1e-30, den, 1.0), 0.0)
     s = np.clip(s, 0.0, 1.0)
@@ -145,9 +158,8 @@ def _segseg_euclid(p1, q1, p2, q2) -> np.ndarray:
         s,
     )
     t = t_clamped
-    x = p1 + s[..., None] * d1
-    y = p2 + t[..., None] * d2
-    return np.linalg.norm(x - y, axis=-1)
+    w = p1 + s[..., None] * d1 - (p2 + t[..., None] * d2)
+    return np.sqrt(_dot(w, w))
 
 
 def _point_seg_euclid(p, a, b) -> np.ndarray:
@@ -307,7 +319,7 @@ def _segseg_can(kind: Kind, a0, a1, b0, b1) -> np.ndarray:
     """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
     if kind is Kind.EUCLIDEAN:
-        return _segseg_euclid(a0, a1, b0, b1)
+        return _segseg_euclid(*_seg_terms(a0, a1), *_seg_terms(b0, b1))
     if kind is Kind.HYPERBOLIC:
         a0, a1, b0, b1 = _recentre(a0, a1, b0, b1)
     ends = np.minimum(
@@ -353,12 +365,74 @@ def point_curve_distance(space: SpaceForm, p, curve: PolygonalCurve):
 # ---------------------------------------------------------------------------
 
 
-def _nonadjacent_pairs(nseg: int, closed: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the segment pairs i < j that share no vertex, in
-    lexicographic order; a closed curve's segments 0 and nseg - 1 share one."""
-    i, j = np.triu_indices(nseg, 2)
-    keep = j - i < nseg - 1 if closed else slice(None)
-    return i[keep], j[keep]
+def _nonadjacent_pairs(nseg: int, closed: bool, rows: int = 1):
+    """The segment pairs i < j that share no vertex, as index arrays (i, j) in
+    blocks, in lexicographic order; a closed curve's segments 0 and nseg - 1
+    share one.
+
+    A block holds whole pair rows (one i, every j) and, for a batch of rows
+    polygons, at most PAIR_BLOCK polygon x pair elements unless it is a
+    single pair row.
+    """
+    counts = np.arange(nseg - 2, 0, -1)  # pair row i holds j = i + 2, ..., i + 1 + counts[i]
+    if closed and counts.size:
+        counts[0] -= 1
+    budget = PAIR_BLOCK // rows
+    start = 0
+    while start < counts.size:
+        stop, size = start + 1, counts[start]
+        while stop < counts.size and size + counts[stop] <= budget:
+            size += counts[stop]
+            stop += 1
+        if size:
+            yield (np.repeat(np.arange(start, stop), counts[start:stop]),
+                   np.concatenate([np.arange(i + 2, i + 2 + counts[i]) for i in range(start, stop)]))
+        start = stop
+
+
+def _defects(space: SpaceForm, v: np.ndarray, closed: bool) -> list[tuple]:
+    """The defects of the polygons v (B, k, m), in canonical coords of space,
+    in the order validate reports them.
+
+    Each entry is a message template, the rows it holds for, and one array
+    per template field.  A row with too few vertices, a short segment or, on
+    the sphere, a near-antipodal one is checked no further; the other rows
+    get their cusps and then the non-adjacent segment pairs closer than
+    SIMPLE_TOL, walked block by block.  A NaN length or distance is a defect.
+    """
+    nrow, k = v.shape[:2]
+    if k < (3 if closed else 2):
+        return [("too few vertices", np.arange(nrow))]
+    ends = _segments(v, closed)
+    lens = dist_arrays(space, *ends)
+    out = [("coincident consecutive vertices at segment {}", *np.nonzero(~(lens >= SIMPLE_TOL)))]
+    if space.kind is Kind.SPHERE:
+        out.append(("segment {} joins near-antipodal endpoints",
+                    *np.nonzero(np.pi - lens < MINIMIZING_TOL)))
+    live = np.ones(nrow, dtype=bool)
+    for _, rows, _ in out:
+        live[rows] = False
+    if not live.all():
+        v, ends = v[live], [x[live] for x in ends]
+    live = np.flatnonzero(live)
+    if not live.size:
+        return out
+
+    # adjacent segments: a zero interior angle means the curve retraces itself
+    turning = np.pi - vertex_angle_arrays(space, *_corners(v, closed))
+    rows, corner = np.nonzero(np.pi - turning < SIMPLE_TOL)
+    out.append(("cusp overlap at vertex {}", live[rows], corner + (0 if closed else 1)))
+
+    if space.kind is Kind.EUCLIDEAN:
+        terms, pair_dist = _seg_terms(*ends), _segseg_euclid
+    else:
+        terms, pair_dist = ends, partial(_segseg_can, space.kind)
+    for i, j in _nonadjacent_pairs(ends[0].shape[1], closed, live.size):
+        d = pair_dist(*(x[:, i] for x in terms), *(x[:, j] for x in terms))
+        rows, pair = np.nonzero(~(d >= SIMPLE_TOL))
+        out.append(("segments {} and {} intersect (distance {:.2e})",
+                    live[rows], i[pair], j[pair], d[rows, pair]))
+    return out
 
 
 def validate(curve: PolygonalCurve) -> SimplicityReport:
@@ -368,42 +442,19 @@ def validate(curve: PolygonalCurve) -> SimplicityReport:
     meet only at the shared vertex.  Non-adjacent proximity below SIMPLE_TOL
     counts as an intersection.
     """
-    violations: list[str] = []
-    if curve.k < (3 if curve.closed else 2):
-        violations.append("too few vertices")
-        return SimplicityReport(False, violations)
-
-    lens = curve.segment_lengths()
-    for i, ell in enumerate(lens):
-        if ell < SIMPLE_TOL:
-            violations.append(f"coincident consecutive vertices at segment {i}")
-    if curve.space.kind is Kind.SPHERE:
-        for i, ell in enumerate(lens):
-            if np.pi - ell < MINIMIZING_TOL:
-                violations.append(f"segment {i} joins near-antipodal endpoints")
-    if violations:
-        return SimplicityReport(False, violations)
-
-    # adjacent segments: a zero interior angle means the curve retraces itself
-    violations += [f"cusp overlap at vertex {i}" for i in cusp_vertices(curve)]
-
-    i, j = _nonadjacent_pairs(curve.n_segments, curve.closed)
-    if i.size:
-        a, b = _segment_ends(curve)
-        d = _segseg_can(curve.space.kind, a[i], b[i], a[j], b[j])
-        violations += [f"segments {si} and {sj} intersect (distance {dd:.2e})"
-                       for si, sj, dd in zip(i, j, d) if dd < SIMPLE_TOL]
-
+    v = embed(curve.space, curve.vertices)[None]
+    violations = [template.format(*(x[n] for x in fields))
+                  for template, rows, *fields in _defects(curve.space.canonical, v, curve.closed)
+                  for n in range(rows.size)]
     return SimplicityReport(not violations, violations)
 
 
 def simple_mask_euclidean(vertices: np.ndarray, closed: bool = True) -> np.ndarray:
-    """Vectorized simplicity test for a batch of Euclidean polygons (B, k, d)."""
+    """validate(...).simple of each polygon of a Euclidean batch (B, k, d)."""
     v = np.asarray(vertices, dtype=float)
-    cur, nxt = _segments(v, closed)
-    ok = np.all(np.linalg.norm(nxt - cur, axis=-1) > SIMPLE_TOL, axis=1)
-    for i, j in zip(*_nonadjacent_pairs(cur.shape[1], closed)):
-        ok &= _segseg_euclid(cur[:, i], nxt[:, i], cur[:, j], nxt[:, j]) > SIMPLE_TOL
+    ok = np.ones(v.shape[0], dtype=bool)
+    for _, rows, *_ in _defects(SpaceForm.euclidean(v.shape[-1]), v, closed):
+        ok[rows] = False
     return ok
 
 

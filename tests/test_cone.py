@@ -356,6 +356,15 @@ def test_hull_sample_weight_validation(rng):
         hull_sample(SpaceForm.euclidean(3), verts, 4, weights=np.ones((3, 5)))
     with pytest.raises(GeometryError):
         hull_sample(SpaceForm.euclidean(3), verts, 1, weights=-np.ones((1, 5)))
+    zero_row = np.ones((2, 5))
+    zero_row[1] = 0.0
+    with pytest.raises(GeometryError, match="positive sum"):
+        hull_sample(SpaceForm.euclidean(3), verts, 2, weights=zero_row)
+    for bad in (np.nan, np.inf):
+        w = np.ones((1, 5))
+        w[0, 2] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            hull_sample(SpaceForm.euclidean(3), verts, 1, weights=w)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from curvebound import (
     hexagonal_trefoil,
     knot,
     knot_determinant,
+    polycurve,
     project,
     random_projection,
     validate,
@@ -271,6 +272,21 @@ def test_project_matches_pairwise_loops(rng):
         "a segment is nearly parallel to the direction",
         "a vertex image lies on a segment image",
     }
+
+
+def test_project_does_not_depend_on_the_pair_blocks(rng, monkeypatch):
+    """Blocks of one pair row and one vertex row keep the diagrams and the
+    first failure of the loops, also on curves that span many blocks."""
+    cases = [(curve, d) for curve, d, _ in _degenerate_projections()]
+    for k in (5, 9, 40):
+        for v in random_simple_polygons(rng, 20, k):
+            cases += [(euclidean_curve(v), rng.standard_normal(3)),
+                      (euclidean_curve(v), _aimed_direction(rng, v))]
+    expected = [_outcome(loop_project, curve, d) for curve, d in cases]
+    assert sum(isinstance(e, str) for e in expected) > 10
+    monkeypatch.setattr(polycurve, "PAIR_BLOCK", 1)
+    monkeypatch.setattr(knot, "PAIR_BLOCK", 1)
+    assert [_outcome(project, curve, d) for curve, d in cases] == expected
 
 
 def test_criterion_12_retries_unchanged(monkeypatch):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -26,7 +29,8 @@ from curvebound import (
     unembed,
     validate,
 )
-from curvebound.polycurve import SIMPLE_TOL, _nonadjacent_pairs
+from curvebound import determinant, polycurve, project
+from curvebound.polycurve import PAIR_BLOCK, SIMPLE_TOL, _nonadjacent_pairs
 
 from conftest import (curved_frame, euclidean_curve, exp_can, random_simple_polygons,
                       small_plane_pentagon)
@@ -84,6 +88,12 @@ def test_segment_wraps_around():
     a, b = sq.segment(3)
     assert a == pytest.approx(sq.vertices[3])
     assert b == pytest.approx(sq.vertices[0])
+    chain = euclidean_curve([[0, 0, 0], [1, 0, 0], [1, 1, 0]], closed=False)
+    a, b = chain.segment(1)
+    assert a == pytest.approx(chain.vertices[1])
+    assert b == pytest.approx(chain.vertices[2])
+    with pytest.raises(IndexError):
+        chain.segment(2)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +312,100 @@ def test_validate_near_antipodal_arc_on_sphere():
 
 
 def test_nonadjacent_pairs_in_lexicographic_order():
-    for nseg in range(1, 10):
+    for nseg in [*range(1, 10), 700]:
         for closed in (True, False):
             want = [(i, j) for i in range(nseg) for j in range(i + 2, nseg)
                     if not (closed and i == 0 and j == nseg - 1)]
-            i, j = _nonadjacent_pairs(nseg, closed)
-            assert list(zip(i.tolist(), j.tolist())) == want
+            row_size = Counter(i for i, _ in want)
+            for rows in (1, 7143, PAIR_BLOCK):   # PAIR_BLOCK rows: one pair row per block
+                blocks = list(_nonadjacent_pairs(nseg, closed, rows))
+                got = [pair for i, j in blocks for pair in zip(i.tolist(), j.tolist())]
+                assert got == want
+                for i, _ in blocks:   # whole pair rows, within budget unless just one
+                    row, size = np.unique(i, return_counts=True)
+                    assert [row_size[r] for r in row.tolist()] == size.tolist()
+                    assert i.size * rows <= PAIR_BLOCK or row.size == 1
+                if rows == PAIR_BLOCK:
+                    assert all(i[0] == i[-1] for i, _ in blocks)
+
+
+def _mask_cases(rng) -> list[tuple[np.ndarray, bool]]:
+    """(batch, closed) pairs: simple polygons and each defect validate names."""
+    a = 5e-10
+    cases = [
+        (rng.normal(size=(40, 5, 3)), True),
+        (np.array([[[0, 0, 0], [1, 0, 0]]], dtype=float), True),   # closed 2-gon
+        (np.array([[[0, 0, 0], [2, 0, 0], [1, 0, 0]]], dtype=float), True),   # retraced
+        (np.array([[[0, 0, 0], [2, 0, 0], [1, 0, 0]]], dtype=float), False),
+        # vertex 1 is a cusp at angle a: segments 0 and 1 overlap
+        (np.array([[[-10, 0, 0], [0, 0, 0], [-5 * np.cos(a), 5 * np.sin(a), 0],
+                    [-5, 3, 1], [-12, 2, -1]]]), True),
+        (np.array([[[0, 0, 0], [1, 0, 0], [np.nan, 1, 0], [0, 1, 0], [0, 0.5, 1]]]), True),
+    ]
+    for k in range(3, 10):
+        for closed in (True, False):
+            batch = rng.normal(size=(60, k, 3))
+            batch[15:30, 1] = batch[15:30, 0]   # a zero-length segment
+            batch[30:45, 2] = 0.5 * (batch[30:45, 0] + batch[30:45, 1])   # a cusp at vertex 1
+            batch[45:, -1] = 0.5 * (batch[45:, 1] + batch[45:, 2])   # a vertex on segment 1
+            cases.append((batch, closed))
+    return cases
 
 
 def test_simple_mask_matches_validate(rng):
-    batch = rng.normal(size=(40, 5, 3))
-    mask = simple_mask_euclidean(batch)
     space = SpaceForm.euclidean(3)
-    for verts, flag in zip(batch, mask):
-        assert validate(PolygonalCurve(space, verts)).simple == flag
+    for batch, closed in _mask_cases(rng):
+        mask = simple_mask_euclidean(batch, closed)
+        want = [validate(PolygonalCurve(space, verts, closed)).simple for verts in batch]
+        assert mask.tolist() == want
+    for batch, closed in _mask_cases(rng)[1:6]:   # each has a defect
+        assert not simple_mask_euclidean(batch, closed).any()
+
+
+def test_reports_do_not_depend_on_the_pair_blocks(rng, monkeypatch):
+    """One pair row per block gives the reports and masks of one block."""
+    planar = rng.normal(size=(30, 9, 2))   # most of these 9-gons cross themselves
+    curves = [euclidean_curve(np.pad(v, ((0, 0), (0, 1)))) for v in planar]
+    for kind, space in ((Kind.SPHERE, SpaceForm.sphere(3)),
+                        (Kind.HYPERBOLIC, SpaceForm.hyperbolic(3, Model.HYPERBOLOID))):
+        x, (e1, e2) = curved_frame(kind, rng, 1.0)
+        for v in 0.1 * planar[:5]:
+            tangent = v[:, :1] * e1 + v[:, 1:] * e2
+            size = np.linalg.norm(v, axis=-1, keepdims=True)
+            curves.append(PolygonalCurve(space, exp_can(kind, x, tangent / size, size)))
+    want = [validate(c).violations for c in curves]
+    want_masks = [simple_mask_euclidean(b, c) for b, c in _mask_cases(np.random.default_rng(7))]
+    assert sum(len(v) for v in want[30:]) > 10 and sum(len(v) for v in want) > 100
+    monkeypatch.setattr(polycurve, "PAIR_BLOCK", 1)
+    assert [validate(c).violations for c in curves] == want
+    masks = [simple_mask_euclidean(b, c) for b, c in _mask_cases(np.random.default_rng(7))]
+    assert all(np.array_equal(m, w) for m, w in zip(masks, want_masks))
+
+
+@pytest.mark.parametrize("case", ["E3", "S3", "H3", "project"])
+def test_pair_walks_hold_bounded_memory(case):
+    """validate and knot.project on 1200 vertices stay within 16 MB."""
+    k = 1200
+    t = 2.0 * np.pi * np.arange(k) / k
+    flat = np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t)], axis=-1)
+    if case == "project":
+        trefoil = np.stack([np.sin(t) + 2.0 * np.sin(2.0 * t),
+                            np.cos(t) - 2.0 * np.cos(2.0 * t), -np.sin(3.0 * t)], axis=-1)
+        curve = euclidean_curve(trefoil)
+        run = lambda: determinant(project(curve, [0.1, 0.2, 1.0])) == 3   # noqa: E731
+    else:
+        curve = {"E3": euclidean_curve(flat),
+                 "S3": PolygonalCurve(SpaceForm.sphere(3, Model.STEREO_BALL), 0.5 * flat),
+                 "H3": PolygonalCurve(SpaceForm.hyperbolic(3), 0.5 * flat)}[case]
+        run = lambda: validate(curve).simple   # noqa: E731
+    tracemalloc.start()
+    try:
+        ok = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok
+    assert peak < 16 * 2**20
 
 
 def test_simple_mask_flags_bowtie():

@@ -1,4 +1,5 @@
-"""Time the segment-pair distance kernel and `validate` on fixed pentagons.
+"""Time the polygon pair walks: segment-pair distances, `validate`, the
+simplicity mask and knot projection.
 
 Usage, from the repository root:
 
@@ -7,11 +8,19 @@ Usage, from the repository root:
 For one fixed pentagon in each of R^3, S^3 (unit-sphere coordinates) and H^3
 (Poincare ball) it times ``polycurve._segseg_can`` on the pentagon's five
 non-adjacent segment pairs as one batch, in canonical coordinates, and
-``polycurve.validate`` on the whole curve.  Each figure is the least, over
-ROUNDS rounds, of the mean wall time of CALLS calls, in
-microseconds per call and per segment pair.  The script prints one JSON
-object; it imports ``curvebound`` from the path it is run with, so the same
-script times any checkout.
+``polycurve.validate`` on the whole curve, in microseconds per call and per
+segment pair.  It times ``knot.project`` on the R^3 pentagon, and
+``simple_mask_euclidean`` on random batches of the sweep benchmark's chunk
+shapes, per call and per polygon.  Each of these figures is the least, over
+ROUNDS rounds, of the mean wall time of CALLS calls (CALLS // MASK_SHARE for
+the masks).
+
+On a closed curve of LONG_K vertices it reports the least of LONG_ROUNDS
+single calls of ``validate`` (R^3, S^3, H^3) and ``knot.project``, in
+microseconds, and the tracemalloc peak of one more call, in MB.
+
+The script prints one JSON object; it imports ``curvebound`` from the path it
+is run with.
 """
 
 from __future__ import annotations
@@ -19,14 +28,20 @@ from __future__ import annotations
 import json
 import platform
 import time
+import tracemalloc
 
 import numpy as np
 
-from curvebound import PolygonalCurve, SpaceForm, embed, validate
+from curvebound import Model, PolygonalCurve, SpaceForm, embed, project, simple_mask_euclidean, validate
 from curvebound.polycurve import _nonadjacent_pairs, _segments, _segseg_can
 
 CALLS = 200  # calls per timed round
 ROUNDS = 7  # timed rounds; the least mean counts
+MASK_SHARE = 20  # a mask call takes about as long as this many pentagon calls
+MASK_SHAPES = ((7143, 5, 3), (4286, 7, 3))  # the sweep benchmark's chunks
+LONG_K = 1200  # vertices of the long curves
+LONG_ROUNDS = 3  # single timed calls on a long curve; the least counts
+DIRECTION = (0.1, 0.2, 1.0)  # knot projection direction
 
 
 def pentagons() -> dict[str, PolygonalCurve]:
@@ -44,32 +59,74 @@ def pentagons() -> dict[str, PolygonalCurve]:
     }
 
 
-def best_mean_us(fn) -> float:
+def long_curves() -> dict[str, PolygonalCurve]:
+    """A wavy circle of LONG_K vertices in R^3, S^3 (stereographic ball) and
+    H^3 (Poincare ball), and a (2, 3) torus knot of LONG_K vertices."""
+    t = 2.0 * np.pi * np.arange(LONG_K) / LONG_K
+    flat = np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t)], axis=-1)
+    trefoil = np.stack([np.sin(t) + 2.0 * np.sin(2.0 * t),
+                        np.cos(t) - 2.0 * np.cos(2.0 * t), -np.sin(3.0 * t)], axis=-1)
+    return {
+        "R3": PolygonalCurve(SpaceForm.euclidean(3), flat),
+        "S3": PolygonalCurve(SpaceForm.sphere(3, Model.STEREO_BALL), 0.5 * flat),
+        "H3": PolygonalCurve(SpaceForm.hyperbolic(3), 0.5 * flat),
+        "trefoil": PolygonalCurve(SpaceForm.euclidean(3), trefoil),
+    }
+
+
+def best_mean_us(fn, calls: int = CALLS, rounds: int = ROUNDS) -> float:
     best = float("inf")
-    for _ in range(ROUNDS):
+    for _ in range(rounds):
         start = time.perf_counter()
-        for _ in range(CALLS):
+        for _ in range(calls):
             fn()
-        best = min(best, (time.perf_counter() - start) / CALLS)
+        best = min(best, (time.perf_counter() - start) / calls)
     return best * 1e6
 
 
+def peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
-    out = {"unit": "us", "calls": CALLS, "rounds": ROUNDS,
+    out = {"unit": "us", "calls": CALLS, "rounds": ROUNDS, "mask_calls": CALLS // MASK_SHARE,
+           "long_k": LONG_K, "long_rounds": LONG_ROUNDS,
            "python": platform.python_version(), "numpy": np.__version__, "layers": {}}
+    layers = out["layers"]
     for name, curve in pentagons().items():
         if not validate(curve).simple:
             raise SystemExit(f"the {name} pentagon is not simple")
-        i, j = _nonadjacent_pairs(curve.n_segments, curve.closed)
+        i, j = (np.concatenate(x) for x in zip(*_nonadjacent_pairs(curve.n_segments, curve.closed)))
         a, b = _segments(embed(curve.space, curve.vertices), curve.closed)
         ends = (a[i], b[i], a[j], b[j])
         kind = curve.space.kind
-        for layer, fn in (("polycurve._segseg_can", lambda: _segseg_can(kind, *ends)),
-                          ("polycurve.validate", lambda: validate(curve))):
+        timed = [("polycurve._segseg_can", lambda: _segseg_can(kind, *ends)),
+                 ("polycurve.validate", lambda: validate(curve))]
+        if name == "R3":
+            timed.append(("knot.project", lambda: project(curve, DIRECTION)))
+        for layer, fn in timed:
             per_call = best_mean_us(fn)
-            out["layers"][f"{layer}.{name}"] = {"per_call": round(per_call, 2),
-                                                "per_pair": round(per_call / i.size, 2),
-                                                "pairs": int(i.size)}
+            layers[f"{layer}.{name}"] = {"per_call": round(per_call, 2),
+                                         "per_pair": round(per_call / i.size, 2),
+                                         "pairs": int(i.size)}
+    rng = np.random.default_rng(0)
+    for shape in MASK_SHAPES:
+        batch = rng.standard_normal(shape)
+        per_call = best_mean_us(lambda: simple_mask_euclidean(batch), CALLS // MASK_SHARE)
+        layers[f"polycurve.simple_mask_euclidean.{shape[0]}x{shape[1]}"] = {
+            "per_call": round(per_call, 1), "per_polygon": round(per_call / shape[0], 3)}
+    for name, curve in long_curves().items():
+        if name == "trefoil":
+            layer, fn = "knot.project", lambda: project(curve, DIRECTION)
+        else:
+            layer, fn = "polycurve.validate", lambda: validate(curve)
+        layers[f"{layer}.{name}.k{LONG_K}"] = {
+            "per_call": round(best_mean_us(fn, 1, LONG_ROUNDS), 0), "peak_mb": round(peak_mb(fn), 2)}
     print(json.dumps(out, indent=1))
     return 0
 
