@@ -9,7 +9,6 @@ as a proof of unknottedness.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,14 +139,21 @@ def project(curve: PolygonalCurve, direction) -> Diagram:
         if pa[0] == pb[0] and pb[1] - pa[1] < PARAM_TOL:
             raise ConstructionError("triple point in projection")
 
-    # arc a runs from under-passage a to under-passage a + 1 (cyclically)
-    under_pos = [pos for pos, _, sign in events if sign < 0]
+    # arc a runs from under-passage a to under-passage a + 1 (cyclically); positions
+    # are distinct past the triple-point check, so one pass ranks every passage
+    over_arc, under_arc = [0] * n, [0] * n
+    unders = 0
+    for _, cid, sign in events:
+        if sign > 0:
+            over_arc[cid] = (unders - 1) % n
+        else:
+            under_arc[cid] = unders
+            unders += 1
     crossings = []
-    for (oseg, opar), (useg, upar) in passes:
-        a = under_pos.index((useg, upar))
+    for cid, ((oseg, _), (useg, _)) in enumerate(passes):
+        a = under_arc[cid]
         cross_z = seg2[oseg, 0] * seg2[useg, 1] - seg2[oseg, 1] * seg2[useg, 0]
-        crossings.append(Crossing((bisect_right(under_pos, (oseg, opar)) - 1) % n,
-                                  (a - 1) % n, a, 1 if cross_z > 0 else -1))
+        crossings.append(Crossing(over_arc[cid], (a - 1) % n, a, 1 if cross_z > 0 else -1))
     return Diagram(crossings, n, [sign * (cid + 1) for _, cid, sign in events])
 
 

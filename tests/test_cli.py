@@ -178,16 +178,28 @@ COLD_START_PROBE = """
 import contextlib, io, json, sys
 import curvebound, curvebound.cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+SCHEMA_FAMILY = ("jsonschema", "jsonschema_specifications", "referencing", "attr", "attrs",
+                 "rpds")
 
-seen = {"import": [0, scipy_modules()]}
+def loaded(*roots):
+    return sorted(m for m in sys.modules if m.split(".")[0] in roots)
+
+seen = [["import", 0, loaded("scipy"), loaded(*SCHEMA_FAMILY)]]
 for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = curvebound.cli.main(argv)
-    seen[argv[0]] = [code, scipy_modules()]
+    seen.append([argv[0], code, loaded("scipy"), loaded(*SCHEMA_FAMILY)])
 print(json.dumps(seen))
 """
+
+
+def cold_start_probe(argvs):
+    """[command, exit code, scipy modules, jsonschema-family modules] after
+    importing curvebound.cli and after each run, all in one fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
 
 
 def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle_file,
@@ -203,11 +215,24 @@ def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle
         ["extremal-search", "--k", "5", "--budget", "2,30"],
         ["h2xr-check", "--budget", "5"],
     ]
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, check=True)
-    seen = json.loads(proc.stdout)
-    assert seen == {name: [0, []] for name in ["import"] + [a[0] for a in argvs]}
+    seen = cold_start_probe(argvs)
+    assert seen == [[name, 0, [], []] for name in ["import"] + [a[0] for a in argvs]]
+
+
+def test_no_subcommand_loads_jsonschema(circle_file, tmp_path):
+    """The rest of the ten subcommands, a CSV report and a rejected curve file
+    load none of jsonschema, referencing, attrs or rpds either."""
+    rejected = write_json(tmp_path, "rejected.json",
+                          {"space": "euclidean", "dim": True, "closed": True,
+                           "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]]})
+    argvs = [
+        ["mobius-vol", circle_file, "--budget", "2,20"],
+        ["h2xr-check", "--budget", "5", "--format", "csv"],
+        ["totcurv", rejected],
+    ]
+    seen = cold_start_probe(argvs)
+    assert [(name, code, family) for name, code, _, family in seen] == [
+        ("import", 0, []), ("mobius-vol", 0, []), ("h2xr-check", 0, []), ("totcurv", 1, [])]
 
 
 # ---------------------------------------------------------------------------

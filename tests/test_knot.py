@@ -274,6 +274,19 @@ def test_project_matches_pairwise_loops(rng):
     }
 
 
+def test_project_matches_pairwise_loops_on_long_gaussian_polygons():
+    """Thousands of crossings: the arc ranks agree with the loops' list lookups."""
+    rng = np.random.default_rng(0)
+    crossings = []
+    for k in (100, 150, 200):
+        curve = euclidean_curve(rng.standard_normal((k, 3)))
+        d = rng.standard_normal(3)
+        diagram = project(curve, d)
+        assert diagram == loop_project(curve, d)
+        crossings.append(len(diagram.crossings))
+    assert min(crossings) > 1000
+
+
 def test_project_does_not_depend_on_the_pair_blocks(rng, monkeypatch):
     """Blocks of one pair row and one vertex row keep the diagrams and the
     first failure of the loops, also on curves that span many blocks."""
