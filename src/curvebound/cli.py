@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 # bound under jsonschema's name: the benchmark tracer wraps cli.jsonschema.validate
 from . import schema as jsonschema
-from .cone import CertVerdict, certify_embedded, density_report
+from .cone import ON_CURVE_TOL, CertVerdict, certify_embedded, density_report
 from .errors import ConstructionError, GeometryError
 from .h2xr import (
     decay_graph,
@@ -374,12 +374,8 @@ def _cmd_sharpness(args) -> tuple[dict, dict | None, int]:
 def _cmd_certify(args) -> tuple[dict, dict | None, int]:
     curve = polygonal_from_file(load_curve_file(args.curve))
     budget = _parse_budget(args.budget, ("samples",), (1000,))
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    cert = certify_embedded(
-        curve.space, curve, n_samples=budget["samples"], rng=args.seed, **kwargs
-    )
+    tol = args.tol if args.tol is not None else ON_CURVE_TOL
+    cert = certify_embedded(curve.space, curve, budget["samples"], rng=args.seed, tol=tol)
     results = cert.as_dict()
     if results["worst"] is not None:
         for key in ("angle", "density", "bound_applied", "margin"):
@@ -414,10 +410,8 @@ def _cmd_cone_density(args) -> tuple[dict, dict | None, int]:
     if args.point is None:
         raise InputError("cone-density needs --point")
     p = np.asarray(_parse_floats(args.point, "--point"), dtype=float)
-    kwargs = {}
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    rep = density_report(curve.space, p, curve, **kwargs)
+    tol = args.tol if args.tol is not None else ON_CURVE_TOL
+    rep = density_report(curve.space, p, curve, tol=tol)
     results = rep.as_dict()
     for key in ("angle", "density", "bound_applied", "margin"):
         results[key] = sig12(results[key])
@@ -590,40 +584,46 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"curvebound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, help_: str, curve: bool) -> argparse.ArgumentParser:
+    shared = {  # each subcommand takes only the ones it reads
+        "seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "budget": dict(default=None, help="comma-separated integer budget, command-specific"),
+        "tol": dict(type=float, default=None, help="tolerance override"),
+        "format": dict(choices=("json", "csv"), default="json", help="report format"),
+    }
+
+    def add(name: str, help_: str, curve: bool, flags=()) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         if curve:
             p.add_argument("curve", help="path to a JSON curve file")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--budget", default=None,
-                       help="comma-separated integer budget, command-specific")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
         p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="report format (csv only for h2xr-check)")
         return p
 
     add("totcurv", "total curvature of a polygonal curve", curve=True)
 
     p = add("bounds-check", "check a spherical configuration against its length bound",
-            curve=True)
+            curve=True, flags=("tol",))
     p.add_argument("--variant", choices=[v.value for v in BoundVariant], default=None)
 
     p = add("extremal-search", "search for length-maximizing spherical configurations",
-            curve=False)
+            curve=False, flags=("seed", "budget"))
     p.add_argument("--k", type=int, default=5, help="number of vertices (default 5)")
     p.add_argument("--variant", choices=[v.value for v in BoundVariant], default=None)
 
-    p = add("sharpness", "construct a near-extremal simple closed polygon", curve=False)
+    p = add("sharpness", "construct a near-extremal simple closed polygon", curve=False,
+            flags=("seed",))
     p.add_argument("--m", type=int, default=None, help="bound parameter: target 2m pi")
     p.add_argument("--eps", type=float, default=None, help="curvature deficit (default 1e-2)")
 
-    add("certify", "sampled embeddedness certificate for a 5-gon boundary", curve=True)
+    add("certify", "sampled embeddedness certificate for a 5-gon boundary", curve=True,
+        flags=("seed", "budget", "tol"))
 
     add("mobius-vol", "supremum of spherical length over ball Mobius translations",
-        curve=True)
+        curve=True, flags=("seed", "budget"))
 
-    p = add("cone-density", "cone angle and density bound at a point", curve=True)
+    p = add("cone-density", "cone angle and density bound at a point", curve=True,
+            flags=("tol",))
     p.add_argument("--point", default=None, help="comma-separated apex coordinates")
 
     p = add("hyp-density", "hyperbolic cone density bound at the cone point", curve=True)
@@ -631,11 +631,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default=None,
                    help="comma-separated radii for the spread check")
 
-    p = add("h2xr-check", "residual and end-curve checks in H2 x R", curve=False)
+    p = add("h2xr-check", "residual and end-curve checks in H2 x R", curve=False,
+            flags=("seed", "budget", "format"))
     p.add_argument("--radii", default=None,
                    help="comma-separated end-curve radii (default 2,4,8,16)")
 
-    p = add("knot-det", "knot determinant from a generic planar projection", curve=True)
+    p = add("knot-det", "knot determinant from a generic planar projection", curve=True,
+            flags=("seed", "budget"))
     p.add_argument("--direction", default=None,
                    help="comma-separated projection direction (default: random)")
 
@@ -644,18 +646,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.format == "csv" and args.command != "h2xr-check":
-        sys.stderr.write("curvebound: error: --format csv is only valid for h2xr-check\n")
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # a flag the subcommand does not read, such as totcurv --seed
+        sys.stderr.write(f"curvebound: error: unrecognized arguments: {' '.join(extra)}\n")
         return 1
 
     try:
         results, budget, code = _HANDLERS[args.command](args)
-    except InputError as exc:
-        sys.stderr.write(f"curvebound: error: {exc}\n")
-        return 1
-    except GeometryError as exc:
+    except (InputError, GeometryError) as exc:
         sys.stderr.write(f"curvebound: error: {exc}\n")
         return 1
 
@@ -664,12 +662,12 @@ def main(argv: list[str] | None = None) -> int:
         "tool": "curvebound",
         "tool_version": __version__,
         "command": args.command,
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "budget": budget,
-        "tolerance": args.tol,
+        "tolerance": getattr(args, "tol", None),
         "results": results,
     }
-    _emit(report, args.format, args.out)
+    _emit(report, getattr(args, "format", "json"), args.out)
     return code
 
 

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import GeometryError, OnCurveError
+from .errors import GeometryError, NumericalError, OnCurveError
 from .polycurve import (
     PolygonalCurve,
     _segment_distances,
@@ -44,6 +43,8 @@ from .spaceform import (
 
 ON_CURVE_TOL = 1e-8
 SPHERE_BALL_LIMIT = math.pi / 4.0
+_GAP_TOL = 1e-14  # min_enclosing_ball's active set: the relative gap that ends it
+_MAX_CYCLES = 1000  # and the major cycles after which it raises NumericalError
 
 
 class DensityCase(str, Enum):
@@ -316,43 +317,50 @@ def min_enclosing_ball(space: SpaceForm, points: np.ndarray) -> tuple[np.ndarray
     For unit vectors in an open hemisphere, max over unit c of min_i <c, p_i>
     equals min over x in conv(P) of |x| (Gilbert 1966, Wolfe 1976), so the
     smallest cap has centre x*/|x*| and radius arccos |x*|, where x* is the
-    min-norm point of the hull of the embedded points in R^n.  x* is the
-    min-norm point of the affine hull of some subset of at most n + 1 points
-    with nonnegative weights, and every subset with nonnegative weights gives
-    a point of conv(P), so x* is the least of them: no optimality test.  Each
-    subset is solved relative to its first point: x = p0 + y with y = D^T mu
-    and D y = -D p0, D = P_S[1:] - p0.  For unit points -D p0 is |D|^2/2 row
-    by row, which the difference rows give to full relative precision where
-    the dot products lose it on small caps.  Returns (center in space.model
-    coords, geodesic radius max_i d(center, p_i)); raises GeometryError when
-    the points lie in no open hemisphere (x* = 0).
+    min-norm point of the hull of the embedded points in R^n.  Wolfe's finite
+    active set finds x*: major cycles add the p_j of largest gap <x - p_j, x>
+    until none exceeds _GAP_TOL max_j |e_j|^2/2; minor cycles drop support
+    points on the way to the support's affine min-norm point x = p0 + y,
+    y = D^T mu, D y = -D p0 = |D|^2/2 (D = P_S[1:] - p0, unit points).  The
+    gap is |e_j|^2/2 + <e_j, y> - mu.|D|^2/2 + |y|^2 with e_j = p0 - p_j:
+    differences keep full relative precision where dot products lose it on
+    small caps.  Returns (center in space.model coords, geodesic radius
+    max_i d(center, p_i)); raises GeometryError when the points lie in no open
+    hemisphere (x* = 0) and NumericalError after _MAX_CYCLES major cycles.
     """
     if space.kind is not Kind.SPHERE:
         raise GeometryError("min_enclosing_ball is implemented for the sphere")
     pc = embed(space, np.atleast_2d(np.asarray(points, dtype=float)))
-    k, n = pc.shape
-    best = pc[0]
-    for size in range(2, min(k, n + 1) + 1):
-        subsets = combinations(range(k), size)
-        while chunk := list(islice(subsets, 4096)):  # bounded memory on long curves
-            sub = pc[chunk]
-            d = sub[:, 1:] - sub[:, :1]
-            b = 0.5 * np.einsum("sji,sji->sj", d, d)
+    s, w = [0], np.ones(1)  # support rows of pc and their convex weights
+    for _ in range(_MAX_CYCLES):
+        e = pc[s[0]] - pc
+        y = -e[s[1:]].T @ w[1:]  # x = p0 + y
+        half = 0.5 * np.einsum("ji,ji->j", e, e)
+        gap = half + e @ y - w[1:] @ half[s[1:]] + y @ y
+        j = int(np.argmax(gap))
+        if gap[j] <= _GAP_TOL * np.max(half) or j in s:  # a support point's gap is only rounding
+            break
+        s, w = s + [j], np.append(w, 0.0)
+        while True:
+            d = pc[s[1:]] - pc[s[0]]
             pinv = np.linalg.pinv(d)
-            y = np.einsum("sij,sj->si", pinv, b)
-            mu = np.einsum("sij,si->sj", pinv, y)
-            x = sub[:, 0] + y
-            resid = np.linalg.norm(np.einsum("sji,si->sj", d, y) - b, axis=-1)
-            ok = (np.all(mu >= 0.0, axis=-1) & (np.sum(mu, axis=-1) <= 1.0)
-                  & (resid <= 1e-9 * np.linalg.norm(b, axis=-1)))
-            norms = np.where(ok, np.linalg.norm(x, axis=-1), np.inf)
-            i = int(np.argmin(norms))
-            if norms[i] < np.linalg.norm(best):
-                best = x[i]
-    nb = np.linalg.norm(best)  # cos(radius)
+            mu = pinv.T @ (pinv @ (0.5 * np.einsum("ji,ji->j", d, d)))
+            v = np.r_[1.0 - np.sum(mu), mu]
+            if np.all(v >= 0.0):
+                break
+            neg = np.flatnonzero(v < 0.0)  # step from w toward v until a weight reaches 0
+            i = neg[np.argmin(w[neg] / (w[neg] - v[neg]))]
+            w = w + w[i] / (w[i] - v[i]) * (v - w)
+            w[i] = 0.0
+            s, w = [p for p, keep in zip(s, w > 0.0) if keep], w[w > 0.0]
+        w = v
+    else:
+        raise NumericalError(f"no enclosing cap within {_MAX_CYCLES} active-set cycles")
+    x = pc[s[0]] + y
+    nb = np.linalg.norm(x)  # cos(radius)
     if nb < 1e-12:
         raise GeometryError("points lie in no open hemisphere")
-    c = best / nb
+    c = x / nb
     radius = float(np.max(_dist_can(Kind.SPHERE, c[None, :], pc)))
     return unembed(space, c), radius
 
@@ -384,9 +392,11 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
     preconditions = ["boundary curve is simple (validated)"]
     if space.kind is Kind.SPHERE:
         try:
-            # canonical coords: the only GeometryError left is the hemisphere one
             _, radius = min_enclosing_ball(space.canonical, embed(space, curve.vertices))
+        except NumericalError:
+            raise  # the active set gave up: no reason to call the curve uncoverable
         except GeometryError:
+            # canonical coords: the only other GeometryError is x* = 0
             return Certificate(CertVerdict.INCONCLUSIVE, 0, None, preconditions, reason=(
                 "vertices lie in no open hemisphere: no geodesic ball of radius < pi/2,"
                 " so none of radius < pi/4, contains them"))

@@ -408,6 +408,43 @@ def test_csv_rejected_elsewhere(capsys, square_file):
     assert "csv" in err
 
 
+# the shared flags each subcommand reads; the report writes null for a missing one
+SHARED_FLAGS = {"--seed": "1", "--budget": "5", "--tol": "1e-6", "--format": "json"}
+TAKES = {
+    "totcurv": (),
+    "bounds-check": ("--tol",),
+    "extremal-search": ("--seed", "--budget"),
+    "sharpness": ("--seed",),
+    "certify": ("--seed", "--budget", "--tol"),
+    "mobius-vol": ("--seed", "--budget"),
+    "cone-density": ("--tol",),
+    "hyp-density": (),
+    "h2xr-check": ("--seed", "--budget", "--format"),
+    "knot-det": ("--seed", "--budget"),
+}
+NO_CURVE = ("extremal-search", "sharpness", "h2xr-check")
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in TAKES for f in SHARED_FLAGS])
+def test_subcommands_take_only_the_flags_they_read(capsys, square_file, command, flag):
+    argv = [command] + ([] if command in NO_CURVE else [square_file]) + [flag, SHARED_FLAGS[flag]]
+    if flag in TAKES[command]:
+        assert vars(cli.build_parser().parse_args(argv))[flag[2:]] is not None
+        return
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {flag} {SHARED_FLAGS[flag]}" in err
+
+
+def test_report_writes_null_for_flags_a_command_lacks(capsys, square_file):
+    _, rep, _ = run_json(capsys, ["totcurv", square_file])
+    assert rep["seed"] is None and rep["tolerance"] is None
+    _, rep, _ = run_json(capsys, ["sharpness", "--m", "1"])
+    assert rep["seed"] == 0 and rep["tolerance"] is None
+    _, rep, _ = run_json(capsys, ["certify", square_file, "--budget", "20", "--tol", "1e-6"])
+    assert rep["seed"] == 0 and rep["tolerance"] == 1e-6
+
+
 def test_knot_det_directions(capsys, trefoil_file, pentagon_file):
     code, rep, _ = run_json(
         capsys, ["knot-det", trefoil_file, "--direction", "0,0,1"]

@@ -9,6 +9,7 @@ from curvebound import (
     DensityCase,
     GeometryError,
     Kind,
+    NumericalError,
     Model,
     OnCurveError,
     PolygonalCurve,
@@ -30,6 +31,7 @@ from curvebound import (
 )
 from curvebound import cone
 
+from cap_subsets import subset_min_enclosing_ball
 from conftest import (
     curved_frame,
     euclidean_curve,
@@ -399,18 +401,27 @@ def test_meb_requires_sphere():
         min_enclosing_ball(SpaceForm.euclidean(3), np.eye(3))
 
 
-def cap_pentagons(rng, count):
-    """Pentagons in S^3 (canonical coords) about random centres, with cap
-    radii spread log-uniformly over 1e-5 .. 1.2."""
+def random_caps(rng, count, n, k, radii, dups=0):
+    """count sets of k points in S^n (canonical coords), each about a random
+    centre, with cap radii spread log-uniformly over radii; dups more rows
+    repeat random points of each set, and the rows are then shuffled."""
     out = []
-    for r in np.geomspace(1e-5, 1.2, count):
-        c = random_unit(rng, 1, 4)[0]
-        u = rng.standard_normal((5, 4))
+    for r in np.geomspace(*radii, count):
+        c = random_unit(rng, 1, n + 1)[0]
+        u = rng.standard_normal((k, n + 1))
         u -= np.outer(u @ c, c)
         u /= np.linalg.norm(u, axis=-1, keepdims=True)
-        rho = r * rng.uniform(0.3, 1.0, (5, 1))
-        out.append(np.cos(rho) * c + np.sin(rho) * u)
+        rho = r * rng.uniform(0.3, 1.0, (k, 1))
+        p = np.cos(rho) * c + np.sin(rho) * u
+        if dups:
+            p = rng.permutation(np.concatenate([p, p[rng.integers(0, k, dups)]]))
+        out.append(p)
     return out
+
+
+def cap_pentagons(rng, count):
+    """Pentagons in S^3 about random centres, cap radii log-uniform over 1e-5 .. 1.2."""
+    return random_caps(rng, count, 3, 5, (1e-5, 1.2))
 
 
 def nnls_cap_lower_bound(p):
@@ -437,6 +448,61 @@ def test_meb_closes_the_nnls_duality_gap(model, rng):
         assert center.shape == (space.ambient_dim,)
         gap = radius - nnls_cap_lower_bound(p)
         assert -1e-10 <= gap <= 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_meb_closes_the_nnls_duality_gap_on_long_curves(n, rng):
+    """k = 100; below radius 1e-3 the nnls bound itself is loose by ~1e-8 at this k."""
+    space = SpaceForm.sphere(n)
+    for p in random_caps(rng, 12, n, 100, (1e-3, 1.2)):
+        _, radius = min_enclosing_ball(space, p)
+        gap = radius - nnls_cap_lower_bound(p)
+        assert -1e-10 <= gap <= 1e-9
+
+
+@pytest.mark.parametrize("dups", [0, 3], ids=["distinct", "duplicated"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_meb_is_no_worse_than_subset_enumeration(n, dups, rng):
+    """Every centre min_enclosing_ball returns gives a true enclosing cap, so the
+    smaller radius is the better one.  The check is one-sided: where duplicated
+    vertices make its subset solves rank-deficient, the enumeration's radius can
+    be the larger by a few 1e-9."""
+    space = SpaceForm.sphere(n)
+    for k in range(3, 10):
+        for p in random_caps(rng, 8, n, k, (1e-6, 1.5), dups):
+            _, radius = min_enclosing_ball(space, p)
+            assert radius <= subset_min_enclosing_ball(space, p)[1] + 1e-12
+
+
+@pytest.mark.parametrize("dups", [0, 5], ids=["distinct", "duplicated"])
+def test_meb_is_no_worse_than_subset_enumeration_on_tiny_40_gons(dups, rng):
+    """Nearly flat caps: an active set that solved a Gram system in place of
+    pinv(D) ended ~1e-8 above the optimum on these."""
+    space = SpaceForm.sphere(2)
+    for p in random_caps(rng, 6, 2, 40, (1e-7, 2e-5), dups):
+        _, radius = min_enclosing_ball(space, p)
+        assert radius <= subset_min_enclosing_ball(space, p)[1] + 1e-12
+
+
+def wavy_circle(k):
+    """A circle of k vertices and radius 0.3 with a 0.03 wave, in the
+    stereographic ball of S^3.  x -> -x maps it onto itself and fixes only the
+    ball's centre and its antipode, so its smallest cap is centred at 0, with
+    radius max_i 2 arctan |v_i|."""
+    t = 2.0 * np.pi * np.arange(k) / k
+    return 0.3 * np.stack([np.cos(t), np.sin(t), 0.1 * np.sin(3.0 * t)], axis=-1)
+
+
+def test_certify_long_wavy_circle():
+    space = SpaceForm.sphere(3, Model.STEREO_BALL)
+    verts = wavy_circle(100)
+    center, radius = min_enclosing_ball(space, verts)
+    assert center == pytest.approx(np.zeros(3), abs=1e-12)
+    assert radius == pytest.approx(np.max(2.0 * np.arctan(np.linalg.norm(verts, axis=-1))),
+                                   abs=1e-12)
+    cert = certify_embedded(space, PolygonalCurve(space, verts), n_samples=300)
+    assert cert.verdict is CertVerdict.CERTIFIED
+    assert f"enclosing geodesic ball radius {radius:.6f} < pi/4" in cert.preconditions
 
 
 def test_meb_is_isometry_invariant(rng):
@@ -470,6 +536,20 @@ def test_meb_no_open_hemisphere(verts):
     assert cert.verdict is CertVerdict.INCONCLUSIVE
     assert cert.n_samples == 0
     assert "no open hemisphere" in cert.reason and "pi/4" in cert.reason
+
+
+@pytest.mark.parametrize("dim,verts", [(2, equatorial_pentagon()), (2, regular_tetrahedron()),
+                                       (3, small_plane_pentagon(Kind.SPHERE, 0.3)[0])],
+                         ids=["equatorial_pentagon", "tetrahedron", "small_pentagon"])
+def test_certify_raises_when_the_cap_search_gives_up(dim, verts, monkeypatch):
+    """A cap search stopped by its cycle cap says nothing about hemispheres:
+    certify_embedded raises instead of calling the vertices uncoverable."""
+    monkeypatch.setattr(cone, "_MAX_CYCLES", 1)
+    space = SpaceForm.sphere(dim)
+    with pytest.raises(NumericalError, match="active-set cycles"):
+        min_enclosing_ball(space, verts)
+    with pytest.raises(NumericalError, match="active-set cycles"):
+        certify_embedded(space, PolygonalCurve(space, verts), n_samples=50)
 
 
 # ---------------------------------------------------------------------------

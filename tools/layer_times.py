@@ -1,5 +1,5 @@
-"""Time the polygon pair walks: segment-pair distances, `validate`, the
-simplicity mask and knot projection.
+"""Time the polygon pair walks (segment-pair distances, `validate`, the
+simplicity mask and knot projection) and the smallest enclosing cap.
 
 Usage, from the repository root:
 
@@ -19,6 +19,11 @@ On a closed curve of LONG_K vertices it reports the least of LONG_ROUNDS
 single calls of ``validate`` (R^3, S^3, H^3) and ``knot.project``, in
 microseconds, and the tracemalloc peak of one more call, in MB.
 
+``cone.min_enclosing_ball`` is timed on the S^3 pentagon like the pentagon
+layers, and on random caps of CAP_RADIUS in S^3 with CAP_KS vertices: per
+call, the least of ROUNDS means of CALLS // MASK_SHARE calls up to k = 20,
+and the least of LONG_ROUNDS single calls above it.
+
 The script prints one JSON object; it imports ``curvebound`` from the path it
 is run with.
 """
@@ -33,6 +38,7 @@ import tracemalloc
 import numpy as np
 
 from curvebound import Model, PolygonalCurve, SpaceForm, embed, project, simple_mask_euclidean, validate
+from curvebound.cone import min_enclosing_ball
 from curvebound.polycurve import _nonadjacent_pairs, _segments, _segseg_can
 
 CALLS = 200  # calls per timed round
@@ -42,6 +48,8 @@ MASK_SHAPES = ((7143, 5, 3), (4286, 7, 3))  # the sweep benchmark's chunks
 LONG_K = 1200  # vertices of the long curves
 LONG_ROUNDS = 3  # single timed calls on a long curve; the least counts
 DIRECTION = (0.1, 0.2, 1.0)  # knot projection direction
+CAP_KS = (12, 20, 100)  # vertices of the random S^3 caps
+CAP_RADIUS = 0.5  # their largest vertex distance from the cap's centre
 
 
 def pentagons() -> dict[str, PolygonalCurve]:
@@ -72,6 +80,22 @@ def long_curves() -> dict[str, PolygonalCurve]:
         "H3": PolygonalCurve(SpaceForm.hyperbolic(3), 0.5 * flat),
         "trefoil": PolygonalCurve(SpaceForm.euclidean(3), trefoil),
     }
+
+
+def caps() -> dict[int, np.ndarray]:
+    """Random point sets of each size in CAP_KS, in S^3 unit-sphere
+    coordinates, at distances up to CAP_RADIUS from a random centre."""
+    rng = np.random.default_rng(0)
+    out = {}
+    for k in CAP_KS:
+        c = rng.standard_normal(4)
+        c /= np.linalg.norm(c)
+        u = rng.standard_normal((k, 4))
+        u -= np.outer(u @ c, c)
+        u /= np.linalg.norm(u, axis=-1, keepdims=True)
+        rho = CAP_RADIUS * rng.uniform(0.3, 1.0, (k, 1))
+        out[k] = np.cos(rho) * c + np.sin(rho) * u
+    return out
 
 
 def best_mean_us(fn, calls: int = CALLS, rounds: int = ROUNDS) -> float:
@@ -120,6 +144,14 @@ def main() -> int:
         per_call = best_mean_us(lambda: simple_mask_euclidean(batch), CALLS // MASK_SHARE)
         layers[f"polycurve.simple_mask_euclidean.{shape[0]}x{shape[1]}"] = {
             "per_call": round(per_call, 1), "per_polygon": round(per_call / shape[0], 3)}
+    sphere = SpaceForm.sphere(3)
+    pentagon = pentagons()["S3"].vertices
+    layers["cone.min_enclosing_ball.S3"] = {
+        "per_call": round(best_mean_us(lambda: min_enclosing_ball(sphere, pentagon)), 2)}
+    for k, points in caps().items():
+        calls, rounds = (CALLS // MASK_SHARE, ROUNDS) if k <= 20 else (1, LONG_ROUNDS)
+        per_call = best_mean_us(lambda: min_enclosing_ball(sphere, points), calls, rounds)
+        layers[f"cone.min_enclosing_ball.S3.k{k}"] = {"per_call": round(per_call, 1)}
     for name, curve in long_curves().items():
         if name == "trefoil":
             layer, fn = "knot.project", lambda: project(curve, DIRECTION)
