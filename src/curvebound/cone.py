@@ -379,10 +379,13 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
     come back Inconclusive.  Distances are closed forms, those of the
     simplicity check's segment pairs too, and all samples go
     through the density kernel in one batch; samples within tol of the curve
-    get the on-curve chain angle and bound.  The worst sample is the first of
-    least margin.  Verdict Certified means every hull sample satisfied its
-    strict density bound; it is evidence at the sampled resolution, not a
-    proof over the whole hull.
+    get the on-curve chain angle and bound.  The k vertices go through the
+    same kernel call as at-vertex apexes, and a vertex at or above its bound
+    makes the verdict Inconclusive with a reason naming it.  The worst
+    sample is the first hull sample of least margin.  Verdict Certified
+    means every hull sample and every vertex satisfied its strict density
+    bound; it is evidence at the sampled resolution, not a proof over the
+    whole hull.
     """
     report = validate(curve)
     if not report.simple:
@@ -406,14 +409,16 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
         preconditions.append(f"enclosing geodesic ball radius {radius:.6f} < pi/4")
 
     samples = hull_sample(space, curve.vertices, n_samples, rng=rng)
-    angle, case, index = _densities(space, samples, curve, tol)
+    angle, case, index = _densities(space, np.concatenate([samples, curve.vertices]), curve, tol)
     bound = _bounds(curve, case, index)
     density = angle / (2.0 * math.pi)
     worst = None
     if n_samples:
-        w = int(np.argmin(bound - density))
+        w = int(np.argmin(bound[:n_samples] - density[:n_samples]))
         worst = _report(samples[w], angle[w], case[w], bound[w])
-    all_pass = bool(np.all(density < bound))
-    verdict = CertVerdict.CERTIFIED if all_pass else CertVerdict.INCONCLUSIVE
-    reason = None if all_pass else "a sampled density met or exceeded its bound"
-    return Certificate(verdict, n_samples, worst, preconditions, reason)
+    failed = ~(density < bound)
+    reasons = ["a sampled density met or exceeded its bound"] if np.any(failed[:n_samples]) else []
+    reasons += [f"vertex {v} has density {density[n_samples + v]:.6f} >= its at-vertex bound "
+                f"{bound[n_samples + v]:.6f}" for v in np.flatnonzero(failed[n_samples:])]
+    verdict = CertVerdict.INCONCLUSIVE if reasons else CertVerdict.CERTIFIED
+    return Certificate(verdict, n_samples, worst, preconditions, "; ".join(reasons) or None)

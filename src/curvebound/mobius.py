@@ -20,8 +20,15 @@ from .spaceform import as_rng
 BALL_LIMIT = 1.0 - 1e-12
 SEARCH_CAP = 1.0 - 1e-6
 DENOM_TOL = 1e-14
-GRID_CHUNK_ELEMS = 2**14  # rows x chords per translate_lengths call in the grid
+# Rows x chords per kernel call, in the grid and in the descent.  At 2**14 a
+# grid chunk's (21, 768) float64 temporaries are 126 KiB each; glibc hands
+# blocks that size back to the kernel when they are freed, and the next call
+# faults them in again: ~56 000 minor faults per 10**4-point grid.  At 2**13
+# (at most 64 KiB each) the grid takes almost none.
+GRID_CHUNK_ELEMS = 2**13
 GRID_REFINEMENTS = 2  # shrinking balls after the grid's global layer
+_START_MOVE = 0.05  # length of each descent row's first proposed move
+_MOVE_TOL = 1e-10  # a descent row stops once its proposed move is shorter
 
 
 @dataclass(frozen=True)
@@ -158,20 +165,43 @@ def curve_length_on_sphere(curve: SampledCurve) -> float:
 class Chords:
     """Chord plan of a sampled curve for ``translate_lengths``.
 
-    ``xt`` holds the samples, normalized once, one row per coordinate; ``c``
-    the weighted chords w * |x_i - x_j| of ``_chord_plan``.
+    ``lift[k]`` stacks a row of ones over the k-th coordinates of the
+    samples, normalized once, so that the outer sum a_k + x_k of a batch of
+    translations is the product [a_k, 1] @ lift[k]: both terms are exact
+    products and the sum is rounded once, as in a broadcast add, which numpy
+    runs about three times slower.  ``c`` holds the weighted chords
+    w * |x_i - x_j| of ``_chord_plan``.
     """
 
-    xt: np.ndarray  # (n, N) unit samples, transposed
-    i: np.ndarray   # (P,) chord start indices
-    j: np.ndarray   # (P,) chord end indices
-    c: np.ndarray   # (P,) weighted chord lengths
+    lift: np.ndarray  # (n, 2, N): ones over the unit samples' coordinate k
+    i: np.ndarray     # (P,) chord start indices
+    j: np.ndarray     # (P,) chord end indices
+    c: np.ndarray     # (P,) weighted chord lengths
 
     @classmethod
     def of(cls, curve: SampledCurve) -> "Chords":
         x = curve.points / np.linalg.norm(curve.points, axis=-1, keepdims=True)
+        lift = np.stack([np.ones_like(x.T), x.T], axis=1)
         i, j, w = _chord_plan(curve.n, curve.closed, curve.breaks)
-        return cls(np.ascontiguousarray(x.T), i, j, w * _chord_lengths(x, i, j))
+        return cls(lift, i, j, w * _chord_lengths(x, i, j))
+
+
+def _inverse_distances(chords: Chords, A: np.ndarray):
+    """|a|^2, the differences x + a (one (B, N) array per coordinate), the
+    mask of admissible rows and r = 1 / |x + a| (1 on rejected rows)."""
+    a2 = np.einsum("bk,bk->b", A, A)
+    left = np.ones((A.shape[1], A.shape[0], 2))
+    left[:, :, 0] = A.T
+    diff = [left[k] @ chords.lift[k] for k in range(A.shape[1])]
+    den = np.square(diff[0])
+    sq = np.empty_like(den)
+    for d in diff[1:]:
+        den += np.square(d, out=sq)
+    ok = np.sqrt(a2) < BALL_LIMIT
+    if not (ok.all() and den.min() >= DENOM_TOL):
+        ok &= den.min(axis=-1) >= DENOM_TOL
+        den[~ok] = 1.0
+    return a2, diff, ok, np.divide(1.0, np.sqrt(den, out=den), out=den)
 
 
 def translate_lengths(chords: Chords, A) -> np.ndarray:
@@ -185,15 +215,42 @@ def translate_lengths(chords: Chords, A) -> np.ndarray:
     below DENOM_TOL give -inf.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    a2 = np.einsum("bk,bk->b", A, A)
-    den = np.square(chords.xt[0] + A[:, :1])
-    for k in range(1, A.shape[1]):
-        den += np.square(chords.xt[k] + A[:, k:k + 1])
-    ok = (np.sqrt(a2) < BALL_LIMIT) & (den.min(axis=-1) >= DENOM_TOL)
-    den[~ok] = 1.0
-    r = 1.0 / np.sqrt(den)
-    pairs = np.take(r, chords.i, axis=1) * np.take(r, chords.j, axis=1)
-    return np.where(ok, (1.0 - a2) * (pairs @ chords.c), -np.inf)
+    a2, _, ok, r = _inverse_distances(chords, A)
+    pairs = np.take(r, chords.i, axis=1)
+    pairs *= np.take(r, chords.j, axis=1)
+    return np.where(ok, (1.0 - a2) * np.einsum("bp,p->b", pairs, chords.c), -np.inf)
+
+
+def translate_lengths_and_gradients(chords: Chords, A) -> tuple[np.ndarray, np.ndarray]:
+    """``translate_lengths`` of the rows of A and the gradients in a.
+
+    With r_I = 1 / |x_I + a| the length is L = (1 - |a|^2) S, S = sum over
+    chords IJ of c_IJ r_I r_J, and grad r_I = -r_I^3 (x_I + a), so
+    grad L = -2 a S - (1 - |a|^2) sum_IJ c_IJ r_I r_J (u_I + u_J) with
+    u_I = r_I^2 (x_I + a).  Gathering u at both chord ends keeps every
+    temporary at rows x chords elements, like the lengths.  The lengths
+    equal ``translate_lengths`` bit for bit; rejected rows have zero
+    gradient.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    a2, diff, ok, r = _inverse_distances(chords, A)
+    pairs = np.take(r, chords.i, axis=1)
+    pairs *= np.take(r, chords.j, axis=1)
+    s = np.einsum("bp,p->b", pairs, chords.c)
+    pairs *= chords.c
+    r *= r
+    pull = np.empty_like(A)
+    for k, u in enumerate(diff):
+        u *= r
+        ends = np.take(u, chords.i, axis=1)
+        ends += np.take(u, chords.j, axis=1)
+        pull[:, k] = np.einsum("bp,bp->b", pairs, ends)
+    grad = np.where(ok[:, None], -2.0 * s[:, None] * A - (1.0 - a2)[:, None] * pull, 0.0)
+    return np.where(ok, (1.0 - a2) * s, -np.inf), grad
+
+
+def _chunk_rows(chords: Chords) -> int:
+    return max(1, GRID_CHUNK_ELEMS // max(1, chords.c.size))
 
 
 def round_sphere_volume(m: int) -> float:
@@ -273,15 +330,60 @@ def example_34_curve(eps: float, samples_per_piece: int = 512) -> SampledCurve:
 # ---------------------------------------------------------------------------
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on first call.
+@dataclass(frozen=True)
+class DescentResult:
+    """Rows of one lock-step descent on -L."""
 
-    Importing ``scipy.optimize`` costs more than most subcommands' whole
-    run, and only the Mobius volume search needs it.
+    x: np.ndarray  # (B, dim) final parameter of each row
+    fun: np.ndarray  # (B,) -L at x
+    nfev: int  # rows evaluated, starts included
+    nit: int  # lock-step steps
+    success: bool  # every row stopped on its move tolerance
+
+
+def _neg_lengths_and_gradients(chords: Chords, A: np.ndarray):
+    rows = _chunk_rows(chords)
+    parts = [translate_lengths_and_gradients(chords, A[s:s + rows])
+             for s in range(0, len(A), rows)]
+    return (-np.concatenate([p[0] for p in parts]),
+            -np.concatenate([p[1] for p in parts]))
+
+
+def minimize(chords: Chords, starts: np.ndarray, iterations: int) -> DescentResult:
+    """Minimize -L over |a| <= SEARCH_CAP from each row of starts, in lock step.
+
+    Projected gradient descent: every step proposes, for each active row,
+    a - t g projected onto the ball |a| <= SEARCH_CAP, evaluates all
+    proposals in one batched call of ``translate_lengths_and_gradients``
+    and accepts those that lower -L, doubling the row's t; a rejected row
+    quarters it.  A row's first proposal moves _START_MOVE; a row stops
+    once its proposed move is shorter than _MOVE_TOL, or at once where its
+    gradient is 0.  At most ``iterations`` steps are taken.  bench/tracer.py
+    wraps this function by name and tallies nfev, nit and success.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+    a = np.array(starts, dtype=float)
+    f, g = _neg_lengths_and_gradients(chords, a)
+    nfev, nit = len(a), 0
+    gnorm = np.linalg.norm(g, axis=-1)
+    active = gnorm > 0.0
+    t = np.divide(_START_MOVE, gnorm, out=np.zeros_like(gnorm), where=active)
+    while nit < iterations and np.any(active):
+        rows = np.flatnonzero(active)
+        trial = a[rows] - t[rows, None] * g[rows]
+        trial *= SEARCH_CAP / np.maximum(np.linalg.norm(trial, axis=-1), SEARCH_CAP)[:, None]
+        moving = np.linalg.norm(trial - a[rows], axis=-1) >= _MOVE_TOL
+        active[rows[~moving]] = False
+        rows, trial = rows[moving], trial[moving]
+        if not rows.size:
+            break
+        ft, gt = _neg_lengths_and_gradients(chords, trial)
+        nfev += rows.size
+        nit += 1
+        better = ft < f[rows]
+        won = rows[better]
+        a[won], f[won], g[won] = trial[better], ft[better], gt[better]
+        t[rows] *= np.where(better, 2.0, 0.25)
+    return DescentResult(a, f, nfev, nit, not np.any(active))
 
 
 @dataclass
@@ -305,58 +407,26 @@ def mobius_volume(curve: SampledCurve, restarts: int = 32, iterations: int = 500
                   rng=0) -> MobiusVolumeResult:
     """Lower estimate of sup over |a| < 1 of the translated curve's length.
 
-    Multi-start Nelder-Mead over the translation parameter with a barrier
-    at |a| = SEARCH_CAP, always including a = 0; each evaluation is one row of
-    ``translate_lengths`` on a chord plan built once.  For closed curves
-    the analytic blow-up lower bound (a pushed to a curve point gives a
-    great circle of length 2 pi in the limit) is folded into the max.
+    ``restarts`` starts, a = 0 first and the rest uniform in |a| < 0.9,
+    descend -L together in ``minimize``, at most ``iterations`` lock-step
+    steps inside |a| <= SEARCH_CAP, on a chord plan built once.  For closed
+    curves the analytic blow-up lower bound (a pushed to a curve point gives
+    a great circle of length 2 pi in the limit) is folded into the max.
     """
     rng = as_rng(rng)
     dim = curve.points.shape[1]
-    chords = Chords.of(curve)
-
-    def neg_length(a):
-        if np.linalg.norm(a) >= SEARCH_CAP:
-            return 1e9 * (1.0 + float(np.linalg.norm(a)))
-        return -float(translate_lengths(chords, a)[0])
-
     starts = [np.zeros(dim)]
     while len(starts) < max(1, restarts):
         cand = rng.uniform(-1.0, 1.0, size=dim)
         if np.linalg.norm(cand) < 0.9:
             starts.append(cand)
 
-    best_len = -np.inf
-    best_a = np.zeros(dim)
-    for a0 in starts:
-        res = minimize(
-            neg_length,
-            a0,
-            method="Nelder-Mead",
-            options={
-                "maxiter": iterations,
-                "xatol": 1e-10,
-                "fatol": 1e-12,
-                "initial_simplex": _init_simplex(a0, 0.05),
-            },
-        )
-        val = -float(res.fun)
-        if val > best_len:
-            best_len = val
-            best_a = np.asarray(res.x, dtype=float)
-
+    res = minimize(Chords.of(curve), np.array(starts), iterations)
+    best = int(np.argmin(res.fun))
     lower = round_sphere_volume(2) if curve.closed else 0.0
-    sup = max(best_len, lower)
+    sup = max(-float(res.fun[best]), lower)
     budget = {"restarts": int(restarts), "iterations": int(iterations), "cap": SEARCH_CAP}
-    return MobiusVolumeResult(curve, sup, best_a, lower, budget)
-
-
-def _init_simplex(a0: np.ndarray, step: float) -> np.ndarray:
-    d = a0.shape[0]
-    simplex = np.tile(a0, (d + 1, 1))
-    for i in range(d):
-        simplex[i + 1, i] += step
-    return simplex
+    return MobiusVolumeResult(curve, sup, res.x[best], lower, budget)
 
 
 def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0) -> MobiusVolumeResult:
@@ -375,7 +445,7 @@ def mobius_volume_grid(curve: SampledCurve, n_points: int = 10_000, rng=0) -> Mo
     layers = GRID_REFINEMENTS + 1
     per_layer = max(1, n_points // layers)
     chords = Chords.of(curve)
-    rows = max(1, GRID_CHUNK_ELEMS // max(1, chords.c.size))
+    rows = _chunk_rows(chords)
 
     best_len = float(translate_lengths(chords, np.zeros(dim))[0])
     best_a = np.zeros(dim)

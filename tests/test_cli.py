@@ -214,6 +214,7 @@ def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle
         ["knot-det", trefoil_file, "--direction", "0,0,1"],
         ["extremal-search", "--k", "5", "--budget", "2,30"],
         ["h2xr-check", "--budget", "5"],
+        ["mobius-vol", circle_file, "--budget", "2,20"],
     ]
     seen = cold_start_probe(argvs)
     assert seen == [[name, 0, [], []] for name in ["import"] + [a[0] for a in argvs]]
@@ -298,6 +299,19 @@ def test_certify_pentagon_and_trefoil(capsys, pentagon_file, trefoil_file):
     assert code == 2
     assert rep["results"]["verdict"] == "Inconclusive"
     assert rep["results"]["worst"]["density"] >= 2.0
+
+
+def test_certify_names_a_failing_vertex(capsys, tmp_path):
+    path = write_json(tmp_path, "heptagon.json", {
+        "space": "euclidean", "dim": 3, "closed": True, "vertices": [
+            [0.425, 0.282, -1.159], [0.833, -0.59, -1.056], [-0.9, -0.391, 1.627],
+            [-1.176, 0.16, -2.138], [-0.002, 0.9, -0.237], [-0.629, 0.232, 0.7],
+            [0.664, 1.972, 0.209]]})
+    code, rep, _ = run_json(capsys, ["certify", path])
+    assert code == 2
+    assert rep["results"]["verdict"] == "Inconclusive"
+    assert rep["results"]["reason"].startswith("vertex 5 has density 1.102195")
+    assert rep["results"]["worst"]["density"] < 2.0
 
 
 def test_certify_vertices_in_no_open_hemisphere(capsys, tmp_path):

@@ -609,6 +609,26 @@ def test_certify_trefoil_inconclusive():
     assert cert.worst.density >= 2.0
 
 
+# a simple heptagon in R^3 whose 1000 hull samples (rng=0) all pass, while
+# its vertex 5 reads density 1.1022 against its at-vertex bound 1.0926
+HEPTAGON_VERTEX_5_FAILS = [(0.425, 0.282, -1.159), (0.833, -0.59, -1.056), (-0.9, -0.391, 1.627),
+                           (-1.176, 0.16, -2.138), (-0.002, 0.9, -0.237), (-0.629, 0.232, 0.7),
+                           (0.664, 1.972, 0.209)]
+
+
+def test_certify_checks_every_vertex():
+    space = SpaceForm.euclidean(3)
+    curve = PolygonalCurve(space, np.array(HEPTAGON_VERTEX_5_FAILS))
+    assert validate(curve).simple
+    at_vertex = density_report(space, curve.vertices[5], curve)
+    assert at_vertex.case is DensityCase.AT_VERTEX and not at_vertex.passed
+    cert = certify_embedded(space, curve, rng=0)
+    assert cert.verdict is CertVerdict.INCONCLUSIVE
+    assert cert.reason == (f"vertex 5 has density {at_vertex.density:.6f} >= its at-vertex "
+                           f"bound {at_vertex.bound_applied:.6f}")
+    assert cert.worst.case is DensityCase.OFF_CURVE and cert.worst.passed
+
+
 def test_certify_rejects_bad_curves():
     bow = euclidean_curve([[0, 0, 0], [1, 1, 0], [1, 0, 0], [0, 1, 0]])
     with pytest.raises(GeometryError):

@@ -19,7 +19,12 @@ from curvebound import (
     simple_mask_euclidean,
 )
 from curvebound import mobius
-from curvebound.mobius import BALL_LIMIT, Chords, translate_lengths
+from curvebound.mobius import (
+    BALL_LIMIT,
+    Chords,
+    translate_lengths,
+    translate_lengths_and_gradients,
+)
 
 from conftest import random_unit
 
@@ -232,6 +237,52 @@ def test_translate_lengths_reject_rows_without_raising():
     got = translate_lengths(Chords.of(curve), params)
     assert np.isfinite(got[0])
     assert np.all(got[1:] == -np.inf)
+    value, grad = translate_lengths_and_gradients(Chords.of(curve), params)
+    assert np.array_equal(value, got)
+    assert np.all(np.isfinite(grad)) and np.all(grad[1:] == 0.0)
+
+
+@pytest.mark.parametrize("name", ["closed", "closed_breaks", "open_breaks"])
+def test_gradient_kernel_rows_match_one_row_calls(name, rng):
+    curve = _kernel_curves()[name]
+    chords = Chords.of(curve)
+    params = _kernel_params(curve, rng)
+    value, grad = translate_lengths_and_gradients(chords, params)
+    rows = [translate_lengths_and_gradients(chords, a) for a in params]
+    assert np.array_equal(value, np.concatenate([v for v, _ in rows]))
+    assert np.array_equal(grad, np.concatenate([g for _, g in rows]))
+    assert np.array_equal(value, translate_lengths(chords, params))
+    assert np.array_equal(value, np.array([translate_lengths(chords, a)[0] for a in params]))
+
+
+def _long_double_length(chords, a):
+    x = chords.lift[:, 1].astype(np.longdouble)
+    r = 1.0 / np.sqrt(np.sum(np.square(x + a[:, None]), axis=0))
+    c = chords.c.astype(np.longdouble)
+    return (1.0 - a @ a) * np.sum(c * r[chords.i] * r[chords.j])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("name", ["great", "translated", "blowup_pi8", "blowup_pi4"])
+def test_gradient_matches_long_double_differences(name, rng):
+    curve = {
+        "great": great_circle_curve(n=256),
+        "translated": latitude_circle_curve(0.7, n=256).transform(np.array([0.2, -0.3, 0.1])),
+        "blowup_pi8": example_34_curve(np.pi / 8, samples_per_piece=64),
+        "blowup_pi4": example_34_curve(np.pi / 4, samples_per_piece=64),
+    }[name]
+    chords = Chords.of(curve)
+    radii = 0.9 * rng.uniform(0.0, 1.0, 10) ** (1.0 / 3.0)
+    params = np.concatenate([random_unit(rng, 10, 3) * radii[:, None],
+                             [0.9 * curve.points[3], -0.9 * curve.points[3]]])
+    _, grad = translate_lengths_and_gradients(chords, params)
+    h = np.longdouble(1e-7)
+    for a, g in zip(params.astype(np.longdouble), grad):
+        fd = np.array([(_long_double_length(chords, a + h * e)
+                        - _long_double_length(chords, a - h * e)) / (2 * h)
+                       for e in np.eye(3, dtype=np.longdouble)], dtype=float)
+        assert np.linalg.norm(fd - g) <= 1e-9 * max(1.0, np.linalg.norm(fd))
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +357,74 @@ def test_grid_chunking_does_not_change_the_result(monkeypatch):
     single = mobius_volume_grid(curve, n_points=600, rng=3)
     assert chunked.sup_estimate == pytest.approx(single.sup_estimate, rel=1e-13)
     assert np.array_equal(chunked.argmax_a, single.argmax_a)
+
+
+# sup_estimate of the scipy Nelder-Mead search that the lock-step descent
+# replaced, on the blow-up curves of criterion 8 and of the tests above
+NELDER_MEAD_SUP = {
+    ("pi/8", None, 6, 150, 0): 10.995574281687116,
+    ("pi/4", None, 6, 150, 0): 9.424777955870976,
+    ("pi/4", None, 3, 80, 1): 9.424777955870976,
+    ("pi/4", (0.3, 0.0, 0.0), 6, 150, 0): 9.424777955870976,
+    ("pi/4", (0.0, -0.25, 0.35), 6, 150, 0): 9.424777955870976,
+    ("pi/4", (0.3, 0.3, -0.3), 6, 150, 0): 9.424777955870976,
+}
+
+
+@pytest.mark.parametrize("key", list(NELDER_MEAD_SUP), ids=str)
+def test_descent_reaches_the_nelder_mead_values(key):
+    eps, b, restarts, iterations, seed = key
+    curve = example_34_curve({"pi/8": np.pi / 8, "pi/4": np.pi / 4}[eps], samples_per_piece=128)
+    if b is not None:
+        curve = curve.transform(np.array(b))
+    res = mobius_volume(curve, restarts=restarts, iterations=iterations, rng=seed)
+    assert res.sup_estimate >= NELDER_MEAD_SUP[key] - 1e-9
+
+
+def test_search_runs_one_descent_and_repeats_with_its_seed(monkeypatch):
+    descents = []
+    real = mobius.minimize
+
+    def spy(*args, **kwargs):
+        descents.append(real(*args, **kwargs))
+        return descents[-1]
+
+    monkeypatch.setattr(mobius, "minimize", spy)
+    curve = example_34_curve(np.pi / 4, samples_per_piece=64).transform(np.array([0.1, 0.2, 0.0]))
+    first = mobius_volume(curve, restarts=5, iterations=100, rng=7)
+    second = mobius_volume(curve, restarts=5, iterations=100, rng=7)
+    assert len(descents) == 2
+    assert first.sup_estimate == second.sup_estimate
+    assert np.array_equal(first.argmax_a, second.argmax_a)
+    one, two = descents
+    assert np.array_equal(one.x, two.x) and np.array_equal(one.fun, two.fun)
+    assert (one.nfev, one.nit, one.success) == (two.nfev, two.nit, two.success)
+    assert type(one.nfev) is int and type(one.nit) is int and type(one.success) is bool
+    assert 5 < one.nfev <= 5 * (1 + 100) and 0 < one.nit <= 100
+    assert -one.fun.min() == first.sup_estimate
+
+
+def test_descent_chunking_does_not_change_the_result(monkeypatch):
+    curve = example_34_curve(np.pi / 8, samples_per_piece=32).transform(np.array([0.1, 0.2, 0.0]))
+    chunked = mobius_volume(curve, restarts=6, iterations=100, rng=3)
+    monkeypatch.setattr(mobius, "GRID_CHUNK_ELEMS", 1)
+    single = mobius_volume(curve, restarts=6, iterations=100, rng=3)
+    assert chunked.sup_estimate == single.sup_estimate
+    assert np.array_equal(chunked.argmax_a, single.argmax_a)
+
+
+def test_descent_stays_inside_the_cap(monkeypatch):
+    # the moved curve's maximizer is a = -b, |b| = 0.52, outside a 0.2 cap
+    monkeypatch.setattr(mobius, "SEARCH_CAP", 0.2)
+    b = np.array([0.3, 0.3, -0.3])
+    moved = example_34_curve(np.pi / 4, samples_per_piece=64).transform(b)
+    starts = np.array([[0.0, 0.0, 0.0], [0.1, -0.1, 0.0], [-0.1, 0.0, 0.15]])
+    res = mobius.minimize(Chords.of(moved), starts, 300)
+    norms = np.linalg.norm(res.x, axis=-1)
+    assert res.success
+    assert np.all(norms <= 0.2 * (1.0 + 1e-15))
+    assert np.all(norms >= 0.2 * (1.0 - 1e-15))
+    assert np.all(res.x @ -b > 0.19 * np.linalg.norm(b))
 
 
 def test_result_dict_is_json_friendly():
