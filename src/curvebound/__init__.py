@@ -1,232 +1,152 @@
 """Curvature bounds, density certificates, and knot checks for polygonal
-curves in constant-curvature spaces."""
+curves in constant-curvature spaces.
+
+The package namespace is lazy: ``import curvebound`` loads no submodule, and
+a public name imports its defining module on first access.  The value is
+looked up there on every access and never cached here, so a patch of the
+defining module (``curvebound.knot.project``) shows as ``curvebound.project``.
+"""
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .cone import (
-    Certificate,
-    CertVerdict,
-    ConeDensityReport,
-    DensityCase,
-    cone_angle,
-    cone_angle_sampled,
-    certify_embedded,
-    density_report,
-    hull_sample,
-    min_enclosing_ball,
-    on_curve_bound,
-)
-from .errors import (
-    ConstructionError,
-    GeometryError,
-    ModelMismatchError,
-    NonUniqueGeodesicError,
-    NumericalError,
-    OnCurveError,
-)
-from .h2xr import (
-    FrameNormal,
-    GeodesicNormalForm,
-    H2RIsometry,
-    H2RPoint,
-    christoffel,
-    decay_graph,
-    end_curve_ratio,
-    geodesic,
-    geodesic_ode_residual,
-    hessian_log_rho,
-    jacobi,
-    jacobi_ode_residual,
-    laplacian_log_rho,
-    metric_norm,
-    normal_form,
-    s_coth_s,
-    zero_graph,
-)
-from .hyp_density import (
-    ConeSurface,
-    DensityCheck,
-    GreenProfile,
-    cone_boundary_integral,
-    density_bound_check,
-    laplacian_G,
-)
-from .knot import (
-    Crossing,
-    Diagram,
-    determinant,
-    granny_curve,
-    hexagonal_trefoil,
-    knot_determinant,
-    project,
-    random_projection,
-)
-from .mobius import (
-    MobiusMap,
-    MobiusVolumeResult,
-    SampledCurve,
-    curve_length_on_sphere,
-    example_34_curve,
-    great_circle_curve,
-    latitude_circle_curve,
-    mobius_translate,
-    mobius_volume,
-    mobius_volume_grid,
-    polyline_length,
-    round_sphere_volume,
-)
-from .polycurve import (
-    PolygonalCurve,
-    SimplicityReport,
-    SphericalPolygon,
-    cusp_vertices,
-    indicatrix_length_batch,
-    point_curve_distance,
-    point_segment_distance,
-    segment_pair_distance,
-    simple_mask_euclidean,
-    spherical_length,
-    tangent_indicatrix,
-    total_curvature,
-    total_curvature_batch,
-    turning_angles,
-    validate,
-)
-from .spaceform import (
-    Isometry,
-    Kind,
-    Model,
-    Point,
-    RadialProfile,
-    SpaceForm,
-    as_rng,
-    base_point_isometry,
-    convert,
-    convert_coords,
-    dist,
-    embed,
-    geodesic_point,
-    radial_profile,
-    random_isometry,
-    reflection_swapping,
-    unembed,
-    vertex_angle,
-)
-from .spherical_bounds import (
-    BoundCheck,
-    BoundVariant,
-    EqualityFlags,
-    ExtremalResult,
-    analytic_bound,
-    check_bound,
-    check_bound_batch,
-    extremal_search,
-    sharpness_family,
-)
+# defining module -> the public names it exports
+_EXPORTS = {
+    "cone": (
+        "Certificate",
+        "CertVerdict",
+        "ConeDensityReport",
+        "DensityCase",
+        "cone_angle",
+        "cone_angle_sampled",
+        "certify_embedded",
+        "density_report",
+        "hull_sample",
+        "min_enclosing_ball",
+        "on_curve_bound",
+    ),
+    "errors": (
+        "ConstructionError",
+        "GeometryError",
+        "ModelMismatchError",
+        "NonUniqueGeodesicError",
+        "NumericalError",
+        "OnCurveError",
+    ),
+    "h2xr": (
+        "FrameNormal",
+        "GeodesicNormalForm",
+        "H2RIsometry",
+        "H2RPoint",
+        "christoffel",
+        "decay_graph",
+        "end_curve_ratio",
+        "geodesic",
+        "geodesic_ode_residual",
+        "hessian_log_rho",
+        "jacobi",
+        "jacobi_ode_residual",
+        "laplacian_log_rho",
+        "metric_norm",
+        "normal_form",
+        "s_coth_s",
+        "zero_graph",
+    ),
+    "hyp_density": (
+        "ConeSurface",
+        "DensityCheck",
+        "GreenProfile",
+        "cone_boundary_integral",
+        "density_bound_check",
+        "laplacian_G",
+    ),
+    "knot": (
+        "Crossing",
+        "Diagram",
+        "determinant",
+        "granny_curve",
+        "hexagonal_trefoil",
+        "knot_determinant",
+        "project",
+        "random_projection",
+    ),
+    "mobius": (
+        "MobiusMap",
+        "MobiusVolumeResult",
+        "SampledCurve",
+        "curve_length_on_sphere",
+        "example_34_curve",
+        "great_circle_curve",
+        "latitude_circle_curve",
+        "mobius_translate",
+        "mobius_volume",
+        "mobius_volume_grid",
+        "polyline_length",
+        "round_sphere_volume",
+    ),
+    "polycurve": (
+        "PolygonalCurve",
+        "SimplicityReport",
+        "SphericalPolygon",
+        "cusp_vertices",
+        "indicatrix_length_batch",
+        "point_curve_distance",
+        "point_segment_distance",
+        "segment_pair_distance",
+        "simple_mask_euclidean",
+        "spherical_length",
+        "tangent_indicatrix",
+        "total_curvature",
+        "total_curvature_batch",
+        "turning_angles",
+        "validate",
+    ),
+    "spaceform": (
+        "Isometry",
+        "Kind",
+        "Model",
+        "Point",
+        "RadialProfile",
+        "SpaceForm",
+        "as_rng",
+        "base_point_isometry",
+        "convert",
+        "convert_coords",
+        "dist",
+        "embed",
+        "geodesic_point",
+        "radial_profile",
+        "random_isometry",
+        "reflection_swapping",
+        "unembed",
+        "vertex_angle",
+    ),
+    "spherical_bounds": (
+        "BoundCheck",
+        "BoundVariant",
+        "EqualityFlags",
+        "ExtremalResult",
+        "analytic_bound",
+        "check_bound",
+        "check_bound_batch",
+        "extremal_search",
+        "sharpness_family",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BoundCheck",
-    "BoundVariant",
-    "Certificate",
-    "CertVerdict",
-    "ConeDensityReport",
-    "ConeSurface",
-    "ConstructionError",
-    "Crossing",
-    "DensityCase",
-    "DensityCheck",
-    "Diagram",
-    "EqualityFlags",
-    "ExtremalResult",
-    "FrameNormal",
-    "GeodesicNormalForm",
-    "GeometryError",
-    "GreenProfile",
-    "H2RIsometry",
-    "H2RPoint",
-    "Isometry",
-    "Kind",
-    "MobiusMap",
-    "MobiusVolumeResult",
-    "Model",
-    "ModelMismatchError",
-    "NonUniqueGeodesicError",
-    "NumericalError",
-    "OnCurveError",
-    "Point",
-    "PolygonalCurve",
-    "RadialProfile",
-    "SampledCurve",
-    "SimplicityReport",
-    "SpaceForm",
-    "SphericalPolygon",
-    "analytic_bound",
-    "as_rng",
-    "base_point_isometry",
-    "certify_embedded",
-    "check_bound",
-    "check_bound_batch",
-    "christoffel",
-    "cone_angle",
-    "cone_angle_sampled",
-    "cone_boundary_integral",
-    "convert",
-    "convert_coords",
-    "curve_length_on_sphere",
-    "cusp_vertices",
-    "decay_graph",
-    "density_bound_check",
-    "density_report",
-    "determinant",
-    "dist",
-    "embed",
-    "end_curve_ratio",
-    "example_34_curve",
-    "extremal_search",
-    "geodesic",
-    "geodesic_ode_residual",
-    "geodesic_point",
-    "granny_curve",
-    "great_circle_curve",
-    "hessian_log_rho",
-    "hexagonal_trefoil",
-    "hull_sample",
-    "indicatrix_length_batch",
-    "jacobi",
-    "jacobi_ode_residual",
-    "knot_determinant",
-    "laplacian_G",
-    "laplacian_log_rho",
-    "latitude_circle_curve",
-    "metric_norm",
-    "min_enclosing_ball",
-    "mobius_translate",
-    "mobius_volume",
-    "mobius_volume_grid",
-    "normal_form",
-    "on_curve_bound",
-    "point_curve_distance",
-    "point_segment_distance",
-    "polyline_length",
-    "project",
-    "radial_profile",
-    "random_isometry",
-    "random_projection",
-    "reflection_swapping",
-    "round_sphere_volume",
-    "s_coth_s",
-    "segment_pair_distance",
-    "sharpness_family",
-    "simple_mask_euclidean",
-    "spherical_length",
-    "tangent_indicatrix",
-    "total_curvature",
-    "total_curvature_batch",
-    "turning_angles",
-    "unembed",
-    "validate",
-    "vertex_angle",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

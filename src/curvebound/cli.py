@@ -15,39 +15,22 @@ import io
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
 # bound under jsonschema's name: the benchmark tracer wraps cli.jsonschema.validate
 from . import schema as jsonschema
-from .cone import ON_CURVE_TOL, CertVerdict, certify_embedded, density_report
 from .errors import ConstructionError, GeometryError
-from .h2xr import (
-    decay_graph,
-    end_curve_ratio,
-    geodesic_ode_residual,
-    jacobi_ode_residual,
-    metric_norm,
-    zero_graph,
-)
-from .hyp_density import ConeSurface, cone_boundary_integral, density_bound_check
-from .knot import determinant, project, random_projection
-from .mobius import SampledCurve, mobius_volume
-from .polycurve import (
-    PolygonalCurve,
-    spherical_length,
-    tangent_indicatrix,
-    total_curvature,
-    validate,
-)
-from .spaceform import Kind, Model, SpaceForm, as_rng, convert_coords
-from .spherical_bounds import (
-    BoundVariant,
-    check_bound,
-    extremal_search,
-    sharpness_family,
-)
+
+# Each handler and loader imports the library modules it runs, so that a cold
+# process compiles only those.
+if TYPE_CHECKING:
+    from .mobius import SampledCurve
+    from .polycurve import PolygonalCurve
+    from .spaceform import SpaceForm
+    from .spherical_bounds import BoundVariant
 
 SCHEMA_VERSION = 1
 
@@ -57,6 +40,9 @@ SLACK_TOL = 1e-9
 # end_curve_ratio is good to a few 1e-14, so h2xr-check reports ratio - 2 pi in
 # multiples of this rather than in rounding digits
 EXCESS_QUANTUM = 1e-13
+# the values of spherical_bounds.BoundVariant, spelled out so that building the
+# parser imports no library module; tests/test_cli.py checks that they agree
+BOUND_VARIANTS = ("triangle", "chain1", "chain2", "closed_odd", "open_odd")
 
 COMMANDS = (
     "totcurv",
@@ -189,6 +175,8 @@ def load_curve_file(path: str) -> dict:
 
 
 def _space_from_file(data: dict) -> SpaceForm:
+    from .spaceform import Kind, Model, SpaceForm
+
     kind = Kind(data["space"])
     dim = data["dim"]
     if "model" in data:
@@ -201,6 +189,8 @@ def _space_from_file(data: dict) -> SpaceForm:
 
 
 def polygonal_from_file(data: dict) -> PolygonalCurve:
+    from .polycurve import PolygonalCurve
+
     if "vertices" not in data:
         raise InputError("this command needs a curve file with a 'vertices' field")
     space = _space_from_file(data)
@@ -212,6 +202,8 @@ def polygonal_from_file(data: dict) -> PolygonalCurve:
 
 
 def sampled_from_file(data: dict) -> SampledCurve:
+    from .mobius import SampledCurve
+
     if "samples" not in data:
         raise InputError("this command needs a curve file with a 'samples' field")
     if data["space"] != "sphere":
@@ -226,6 +218,8 @@ def sampled_from_file(data: dict) -> SampledCurve:
 
 def _unit_sphere_points(data: dict) -> np.ndarray:
     """Configuration vertices in embedded unit-sphere coordinates."""
+    from .spaceform import Model, convert_coords
+
     if "vertices" not in data:
         raise InputError("this command needs a curve file with a 'vertices' field")
     if data["space"] != "sphere":
@@ -266,6 +260,9 @@ def _parse_floats(spec: str, flag: str) -> list[float]:
 
 
 def _cmd_totcurv(args) -> tuple[dict, dict | None, int]:
+    from .polycurve import spherical_length, tangent_indicatrix, total_curvature
+    from .spaceform import Kind
+
     curve = polygonal_from_file(load_curve_file(args.curve))
     tc = total_curvature(curve)
     results = {
@@ -281,6 +278,8 @@ def _cmd_totcurv(args) -> tuple[dict, dict | None, int]:
 
 
 def _default_variant(k: int, closed: bool) -> BoundVariant:
+    from .spherical_bounds import BoundVariant
+
     if closed:
         if k == 3:
             return BoundVariant.TRIANGLE
@@ -297,6 +296,8 @@ def _default_variant(k: int, closed: bool) -> BoundVariant:
 
 
 def _cmd_bounds_check(args) -> tuple[dict, dict | None, int]:
+    from .spherical_bounds import BoundVariant, check_bound
+
     data = load_curve_file(args.curve)
     pts = _unit_sphere_points(data)
     if args.variant is not None:
@@ -325,6 +326,8 @@ def _cmd_bounds_check(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_extremal_search(args) -> tuple[dict, dict | None, int]:
+    from .spherical_bounds import BoundVariant, extremal_search
+
     budget = _parse_budget(args.budget, ("restarts", "sweeps"), (32, 500))
     variant = BoundVariant(args.variant) if args.variant is not None else BoundVariant.CLOSED_ODD
     res = extremal_search(
@@ -347,6 +350,9 @@ def _cmd_extremal_search(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_sharpness(args) -> tuple[dict, dict | None, int]:
+    from .polycurve import total_curvature
+    from .spherical_bounds import sharpness_family
+
     if args.m is None:
         raise InputError("sharpness needs --m")
     eps = args.eps if args.eps is not None else 1e-2
@@ -372,6 +378,8 @@ def _cmd_sharpness(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_certify(args) -> tuple[dict, dict | None, int]:
+    from .cone import ON_CURVE_TOL, CertVerdict, certify_embedded
+
     curve = polygonal_from_file(load_curve_file(args.curve))
     budget = _parse_budget(args.budget, ("samples",), (1000,))
     tol = args.tol if args.tol is not None else ON_CURVE_TOL
@@ -387,6 +395,8 @@ def _cmd_certify(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_mobius_vol(args) -> tuple[dict, dict | None, int]:
+    from .mobius import mobius_volume
+
     curve = sampled_from_file(load_curve_file(args.curve))
     budget = _parse_budget(args.budget, ("restarts", "iterations"), (32, 500))
     res = mobius_volume(
@@ -406,6 +416,8 @@ def _cmd_mobius_vol(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_cone_density(args) -> tuple[dict, dict | None, int]:
+    from .cone import ON_CURVE_TOL, density_report
+
     curve = polygonal_from_file(load_curve_file(args.curve))
     if args.point is None:
         raise InputError("cone-density needs --point")
@@ -421,6 +433,8 @@ def _cmd_cone_density(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_hyp_density(args) -> tuple[dict, dict | None, int]:
+    from .hyp_density import ConeSurface, cone_boundary_integral, density_bound_check
+
     curve = sampled_from_file(load_curve_file(args.curve))
     m = args.m if args.m is not None else 2
     cone = ConeSurface(curve)
@@ -442,6 +456,16 @@ def _tangent_direction(c: float) -> np.ndarray:
 
 
 def _cmd_h2xr_check(args) -> tuple[dict, dict | None, int]:
+    from .h2xr import (
+        decay_graph,
+        end_curve_ratio,
+        geodesic_ode_residual,
+        jacobi_ode_residual,
+        metric_norm,
+        zero_graph,
+    )
+    from .spaceform import as_rng
+
     budget = _parse_budget(args.budget, ("trials",), (100,))
     n = budget["trials"]
     rng = as_rng(args.seed)
@@ -501,6 +525,8 @@ def _cmd_h2xr_check(args) -> tuple[dict, dict | None, int]:
 
 
 def _cmd_knot_det(args) -> tuple[dict, dict | None, int]:
+    from .knot import determinant, project, random_projection
+
     curve = polygonal_from_file(load_curve_file(args.curve))
     budget = _parse_budget(args.budget, ("retries",), (100,))
     if args.direction is not None:
@@ -604,12 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds-check", "check a spherical configuration against its length bound",
             curve=True, flags=("tol",))
-    p.add_argument("--variant", choices=[v.value for v in BoundVariant], default=None)
+    p.add_argument("--variant", choices=BOUND_VARIANTS, default=None)
 
     p = add("extremal-search", "search for length-maximizing spherical configurations",
             curve=False, flags=("seed", "budget"))
     p.add_argument("--k", type=int, default=5, help="number of vertices (default 5)")
-    p.add_argument("--variant", choices=[v.value for v in BoundVariant], default=None)
+    p.add_argument("--variant", choices=BOUND_VARIANTS, default=None)
 
     p = add("sharpness", "construct a near-extremal simple closed polygon", curve=False,
             flags=("seed",))

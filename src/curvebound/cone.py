@@ -120,13 +120,24 @@ def _coerce_coords(space: SpaceForm, p) -> np.ndarray:
 
 def _check_sphere_admissible(space: SpaceForm, p: np.ndarray, curve: PolygonalCurve) -> None:
     """Raise unless each apex of p (..., ambient_dim) is clear of the curve's
-    antipodes; the first offending apex, in order, names the failure."""
-    vd = dist_arrays(space, p[..., None, :], curve.vertices)
+    antipodes; the first offending apex, in order, names the failure.
+
+    An apex whose vertices all lie within pi/2 - 1e-9 of it has the whole
+    curve in its open hemisphere, since minor arcs between points of that
+    hemisphere stay in it, so its antipode is more than pi/2 from the curve.
+    Only the other apexes are measured against the segments.
+    """
+    p = np.reshape(p, (-1, p.shape[-1]))
+    vd = dist_arrays(space, p[:, None, :], curve.vertices)
     anti_vertex = np.any(vd > np.pi - 1e-9, axis=-1)
-    anti_dist = np.min(_segment_distances(space.kind, -embed(space, p), curve), axis=-1)
-    bad = np.ravel(anti_vertex | (anti_dist < ON_CURVE_TOL))
+    far = np.any(vd >= np.pi / 2.0 - 1e-9, axis=-1)
+    anti_segment = np.zeros(len(p), dtype=bool)
+    if np.any(far):
+        anti_dist = np.min(_segment_distances(space.kind, -embed(space, p[far]), curve), axis=-1)
+        anti_segment[far] = anti_dist < ON_CURVE_TOL
+    bad = anti_vertex | anti_segment
     if np.any(bad):
-        if np.ravel(anti_vertex)[np.argmax(bad)]:
+        if anti_vertex[np.argmax(bad)]:
             raise GeometryError("apex is antipodal to a curve vertex")
         raise GeometryError("the apex antipode meets a curve segment")
 

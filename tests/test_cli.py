@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvebound import hexagonal_trefoil, latitude_circle_curve
-from curvebound import cli
+from curvebound import BoundVariant, hexagonal_trefoil, latitude_circle_curve
+from curvebound import cli, h2xr
 from curvebound.cli import main, pi_multiple, sig12
 
 from conftest import random_simple_polygons
@@ -176,7 +176,6 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 COLD_START_PROBE = """
 import contextlib, io, json, sys
-import curvebound, curvebound.cli
 
 SCHEMA_FAMILY = ("jsonschema", "jsonschema_specifications", "referencing", "attr", "attrs",
                  "rpds")
@@ -184,27 +183,35 @@ SCHEMA_FAMILY = ("jsonschema", "jsonschema_specifications", "referencing", "attr
 def loaded(*roots):
     return sorted(m for m in sys.modules if m.split(".")[0] in roots)
 
-seen = [["import", 0, loaded("scipy"), loaded(*SCHEMA_FAMILY)]]
+def record(name, code):
+    seen.append([name, code, loaded("scipy"), loaded(*SCHEMA_FAMILY), loaded("curvebound")])
+
+seen = []
+import curvebound
+record("import curvebound", 0)
+import curvebound.cli
+record("import", 0)
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = curvebound.cli.main(argv)
-    seen.append([argv[0], code, loaded("scipy"), loaded(*SCHEMA_FAMILY)])
+    record(argv[0], code)
 print(json.dumps(seen))
 """
 
 
 def cold_start_probe(argvs):
-    """[command, exit code, scipy modules, jsonschema-family modules] after
-    importing curvebound.cli and after each run, all in one fresh interpreter."""
+    """[command, exit code, scipy modules, jsonschema-family modules, curvebound
+    modules] after importing curvebound, after importing curvebound.cli and
+    after each run, all in one fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout)
 
 
-def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle_file,
-                                              trefoil_file):
-    argvs = [
+@pytest.fixture
+def every_subcommand(square_file, triangle_file, circle_file, trefoil_file):
+    return [
         ["totcurv", square_file],
         ["bounds-check", triangle_file],
         ["certify", square_file, "--budget", "50"],
@@ -216,8 +223,13 @@ def test_scipy_free_subcommands_load_no_scipy(square_file, triangle_file, circle
         ["h2xr-check", "--budget", "5"],
         ["mobius-vol", circle_file, "--budget", "2,20"],
     ]
-    seen = cold_start_probe(argvs)
-    assert seen == [[name, 0, [], []] for name in ["import"] + [a[0] for a in argvs]]
+
+
+def test_scipy_free_subcommands_load_no_scipy(every_subcommand):
+    seen = cold_start_probe(every_subcommand)
+    assert [row[:4] for row in seen] == [
+        [name, 0, [], []]
+        for name in ["import curvebound", "import"] + [a[0] for a in every_subcommand]]
 
 
 def test_no_subcommand_loads_jsonschema(circle_file, tmp_path):
@@ -232,8 +244,41 @@ def test_no_subcommand_loads_jsonschema(circle_file, tmp_path):
         ["totcurv", rejected],
     ]
     seen = cold_start_probe(argvs)
-    assert [(name, code, family) for name, code, _, family in seen] == [
-        ("import", 0, []), ("mobius-vol", 0, []), ("h2xr-check", 0, []), ("totcurv", 1, [])]
+    assert [(name, code, family) for name, code, _, family, _ in seen] == [
+        ("import curvebound", 0, []), ("import", 0, []), ("mobius-vol", 0, []),
+        ("h2xr-check", 0, []), ("totcurv", 1, [])]
+
+
+# the library modules each subcommand loads, beyond the package, cli, errors and schema
+LOADS = {
+    "totcurv": {"polycurve", "spaceform"},
+    "bounds-check": {"spherical_bounds", "polycurve", "spaceform"},
+    "certify": {"cone", "polycurve", "spaceform"},
+    "cone-density": {"cone", "polycurve", "spaceform"},
+    "hyp-density": {"hyp_density", "mobius", "spaceform"},
+    "sharpness": {"spherical_bounds", "polycurve", "spaceform"},
+    "knot-det": {"knot", "polycurve", "spaceform"},
+    "extremal-search": {"spherical_bounds", "polycurve", "spaceform"},
+    "h2xr-check": {"h2xr", "spaceform"},
+    "mobius-vol": {"mobius", "spaceform"},
+}
+
+
+def test_each_subcommand_compiles_only_what_it_runs(every_subcommand):
+    """``import curvebound`` loads no submodule and ``import curvebound.cli``
+    only the two it always uses; each subcommand, in a fresh interpreter,
+    then loads exactly the library modules it runs."""
+    base = ["curvebound", "curvebound.cli", "curvebound.errors", "curvebound.schema"]
+    assert set(LOADS) == {a[0] for a in every_subcommand}
+    for argv in every_subcommand:
+        package, imported, run_ = (row[4] for row in cold_start_probe([argv]))
+        assert package == ["curvebound"]
+        assert imported == base
+        assert run_ == sorted(base + [f"curvebound.{m}" for m in LOADS[argv[0]]]), argv[0]
+
+
+def test_parser_variants_are_the_bound_variants():
+    assert cli.BOUND_VARIANTS == tuple(v.value for v in BoundVariant)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +446,8 @@ def test_h2xr_check_excess_ignores_rounding_digits(capsys, monkeypatch):
     _, rep, _ = run_json(capsys, argv)
     sweep = rep["results"]["end_curve_sweep"]
     assert [row["excess"] for row in sweep if row["graph"] == "decay"] == [4.1518764e-06, 8e-12]
-    real = cli.end_curve_ratio
-    monkeypatch.setattr(cli, "end_curve_ratio",
+    real = h2xr.end_curve_ratio
+    monkeypatch.setattr(h2xr, "end_curve_ratio",
                         lambda f, df, r: math.nextafter(real(f, df, r), math.inf))
     _, nudged, _ = run_json(capsys, argv)
     assert [row["excess"] for row in nudged["results"]["end_curve_sweep"]] == \

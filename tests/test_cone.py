@@ -30,6 +30,8 @@ from curvebound import (
     vertex_angle,
 )
 from curvebound import cone
+from curvebound.polycurve import _segment_distances
+from curvebound.spaceform import dist_arrays, embed
 
 from cap_subsets import subset_min_enclosing_ball
 from conftest import (
@@ -140,6 +142,82 @@ def test_sphere_antipodal_apex_rejected():
     curve = PolygonalCurve(space, cap)
     with pytest.raises(GeometryError):
         cone_angle(space, -cap[0], curve)
+
+
+def unscreened_sphere_check(space, p, curve):
+    """cone._check_sphere_admissible as it was before its hemisphere screen:
+    every apex is measured against every segment."""
+    vd = dist_arrays(space, p[..., None, :], curve.vertices)
+    anti_vertex = np.any(vd > np.pi - 1e-9, axis=-1)
+    anti_dist = np.min(_segment_distances(space.kind, -embed(space, p), curve), axis=-1)
+    bad = np.ravel(anti_vertex | (anti_dist < cone.ON_CURVE_TOL))
+    if np.any(bad):
+        if np.ravel(anti_vertex)[np.argmax(bad)]:
+            raise GeometryError("apex is antipodal to a curve vertex")
+        raise GeometryError("the apex antipode meets a curve segment")
+
+
+def admissibility(check, space, p, curve):
+    try:
+        check(space, p, curve)
+    except GeometryError as exc:
+        return str(exc)
+    return None
+
+
+def apexes_around_the_hemisphere_edge(rng, verts):
+    """Random apexes, apexes pi/2 +- 1e-12 and +- 1e-9 from a vertex, and the
+    antipodes of vertices, of segment points and of points just off a segment."""
+    k, m = verts.shape
+    rows = [random_unit(rng, 40, m)]
+    for i in range(k):
+        tang = rng.standard_normal((8, m))
+        tang -= (tang @ verts[i])[:, None] * verts[i]
+        tang /= np.linalg.norm(tang, axis=-1, keepdims=True)
+        theta = np.pi / 2.0 + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9, -1e-12, 1e-12, 0.3])
+        rows.append(np.cos(theta)[:, None] * verts[i] + np.sin(theta)[:, None] * tang)
+        mid = verts[i] + verts[(i + 1) % k]
+        mid /= np.linalg.norm(mid)
+        off = mid + 1e-9 * tang[0] - (1e-9 * tang[0] @ mid) * mid
+        rows.append(-np.stack([verts[i], mid, off / np.linalg.norm(off)]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.5, 4.0])
+def test_sphere_antipode_screen_matches_the_full_check(scale, rng):
+    space = SpaceForm.sphere(3)
+    for _ in range(4):
+        while True:
+            y = rng.standard_normal((5, 3)) * scale
+            verts = np.concatenate([np.ones((5, 1)), y], axis=1)
+            verts /= np.linalg.norm(verts, axis=-1, keepdims=True)
+            try:
+                curve = PolygonalCurve(space, verts)
+                break
+            except GeometryError:
+                continue
+        apexes = apexes_around_the_hemisphere_edge(rng, verts)
+        got = [admissibility(cone._check_sphere_admissible, space, x, curve) for x in apexes]
+        assert got == [admissibility(unscreened_sphere_check, space, x, curve) for x in apexes]
+        assert None in got and len(set(got)) > 1
+        for rows in (apexes, apexes[rng.permutation(len(apexes))][:7], apexes[:40]):
+            assert admissibility(cone._check_sphere_admissible, space, rows, curve) == \
+                admissibility(unscreened_sphere_check, space, rows, curve)
+
+
+@pytest.mark.parametrize("phi", [0.02, 1e-4, 1e-7])
+def test_sphere_antipode_screen_keeps_long_segments(phi, rng):
+    # a segment of length pi - 2 phi: the antipode of its midpoint lies on it
+    # though both its ends are only pi/2 + phi from that apex
+    space = SpaceForm.sphere(3)
+    verts = np.array([[np.cos(phi), np.sin(phi), 0, 0], [-np.cos(phi), np.sin(phi), 0, 0],
+                      [0.0, 0.0, 0.0, 1.0]])
+    curve = PolygonalCurve(space, verts)
+    apexes = apexes_around_the_hemisphere_edge(rng, verts)
+    got = [admissibility(cone._check_sphere_admissible, space, x, curve) for x in apexes]
+    assert got == [admissibility(unscreened_sphere_check, space, x, curve) for x in apexes]
+    with pytest.raises(GeometryError, match="antipode meets a curve segment"):
+        cone._check_sphere_admissible(space, np.array([0.0, -1.0, 0.0, 0.0]), curve)
 
 
 # ---------------------------------------------------------------------------
