@@ -37,8 +37,8 @@ from .spaceform import (
     geodesic_arrays,
     unembed,
     vertex_angle_arrays,
-    _interp_can,
     _dist_can,
+    _renorm,
 )
 
 ON_CURVE_TOL = 1e-8
@@ -147,45 +147,50 @@ def _check_sphere_admissible(space: SpaceForm, p: np.ndarray, curve: PolygonalCu
 # ---------------------------------------------------------------------------
 
 
-def _densities(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
-               tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cone angle, case code into _CASES and curve index of each apex x (n, ambient_dim).
-
-    An apex within tol of a segment is at the nearest vertex if that is within
-    tol, else on the first segment within tol; the index names it (-1 off the
-    curve).  Off the curve every segment adds its apex angle, in one broadcast
-    call, and apexes in S^n must clear the curve's antipodes.  On the curve,
-    segments through the apex add nothing, so only kept pairs are gathered.
-    """
+def _locate(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Case code into _CASES and curve index (-1 off the curve) of each apex x
+    (n, ambient_dim): an apex within tol of a segment is at the nearest vertex
+    if that is within tol, else on the first segment within tol."""
     seg_d = _segment_distances(space.kind, embed(space, x), curve)
     on = np.min(seg_d, axis=-1) < tol
-    starts, ends = _segments(curve.vertices, curve.closed)
-    angle = np.empty(len(x))
     case = np.zeros(len(x), dtype=int)
     index = np.full(len(x), -1)
+    if np.any(on):
+        vd = dist_arrays(space, x[on][:, None, :], curve.vertices)
+        at_vertex = np.min(vd, axis=-1) < tol
+        index[on] = np.where(at_vertex, np.argmin(vd, axis=-1), np.argmax(seg_d[on] < tol, axis=-1))
+        case[on] = np.where(at_vertex, _AT_VERTEX, _ON_EDGE)
+    return case, index
+
+
+def _angles(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve, case: np.ndarray,
+            index: np.ndarray) -> np.ndarray:
+    """Cone angle of each apex x (n, ambient_dim) in its case, at its index.
+    Off the curve every segment adds its apex angle, in one broadcast call,
+    and apexes in S^n must clear the curve's antipodes; on the curve, segments
+    through the apex add nothing, so only kept pairs are gathered."""
+    starts, ends = _segments(curve.vertices, curve.closed)
+    on = case != 0
+    angle = np.empty(len(x))
     if not np.all(on):
         off = x[~on]
         if space.kind is Kind.SPHERE:
             _check_sphere_admissible(space, off, curve)
         angle[~on] = np.sum(vertex_angle_arrays(space, off[:, None, :], starts, ends), axis=-1)
     if np.any(on):
-        xs = x[on]
-        vd = dist_arrays(space, xs[:, None, :], curve.vertices)
-        at_vertex = np.min(vd, axis=-1) < tol
-        idx = np.where(at_vertex, np.argmin(vd, axis=-1), np.argmax(seg_d[on] < tol, axis=-1))
+        idx, at_vertex = index[on], case[on] == _AT_VERTEX
         s = np.arange(curve.n_segments)
         skip = (s == idx[:, None]) | (at_vertex[:, None] & ((s + 1) % curve.k == idx[:, None]))
         rows, segs = np.nonzero(~skip)
         chain = np.zeros(skip.shape)
-        chain[rows, segs] = vertex_angle_arrays(space, xs[rows], starts[segs], ends[segs])
+        chain[rows, segs] = vertex_angle_arrays(space, x[on][rows], starts[segs], ends[segs])
         angle[on] = np.sum(chain, axis=-1)
-        case[on] = np.where(at_vertex, _AT_VERTEX, _ON_EDGE)
-        index[on] = idx
-    return angle, case, index
+    return angle
 
 
 def _bounds(curve: PolygonalCurve, case: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Strict density bound for each apex of _densities: 2 off the curve,
+    """Strict density bound for each apex of _locate: 2 off the curve,
     3/2 on an edge, 3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
     bound = np.where(case == _ON_EDGE, 1.5, 2.0)
     at_vertex = case == _AT_VERTEX
@@ -212,16 +217,17 @@ def cone_angle(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     direction sphere at p.  The apex must lie off the curve; on the sphere
     it must also be non-antipodal to every curve point.
     """
-    angle, case, _ = _densities(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
+    x = _coerce_coords(space, p)[None]
+    case, index = _locate(space, x, curve, ON_CURVE_TOL)
     if case[0]:
         raise OnCurveError("apex lies on the curve; use on_curve_bound")
-    return float(angle[0])
+    return float(_angles(space, x, curve, case, index)[0])
 
 
 def on_curve_bound(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     """Density bound for an apex on the curve: 3/2 on an edge interior,
     3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
-    _, case, index = _densities(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
+    case, index = _locate(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
     if not case[0]:
         raise GeometryError("point does not lie on the curve")
     return float(_bounds(curve, case, index)[0])
@@ -231,21 +237,24 @@ def density_report(space: SpaceForm, p, curve: PolygonalCurve,
                    tol: float = ON_CURVE_TOL) -> ConeDensityReport:
     """Cone density at p with the applicable strict bound; p lies on the
     curve when it is within tol of it."""
-    x = _coerce_coords(space, p)
-    angle, case, index = _densities(space, x[None], curve, tol)
-    return _report(x, angle[0], case[0], _bounds(curve, case, index)[0])
+    x = _coerce_coords(space, p)[None]
+    case, index = _locate(space, x, curve, tol)
+    angle = _angles(space, x, curve, case, index)
+    return _report(x[0], angle[0], case[0], _bounds(curve, case, index)[0])
 
 
 def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
                        samples_per_segment: int = 2048) -> float:
-    """Quadrature oracle for cone_angle.
+    """Oracle for cone_angle: a second closed form through another chart.
 
     Moves p to the chart base point by an isometry, maps the vertices to
     the chart in which geodesics from the base point become rays from the
     origin (stereographic chart on the sphere, Poincare ball in hyperbolic
     space, a translation in Euclidean space), samples every segment along
     its geodesic in one call, radially projects the samples to the unit
-    sphere, and sums chord-limit arc lengths.
+    sphere, and sums chord-limit arc lengths.  This is no quadrature: a
+    segment and the apex span a totally geodesic plane, a plane through the
+    origin in the chart, so the sample arcs add up to one great-circle arc.
     """
     x = _coerce_coords(space, p)
     if point_curve_distance(space, x, curve) < ON_CURVE_TOL:
@@ -281,10 +290,12 @@ def hull_sample(space: SpaceForm, vertices: np.ndarray, n: int, rng=0,
                 weights: np.ndarray | None = None) -> np.ndarray:
     """Sample the geodesic convex hull of a vertex set.
 
-    Each sample is an iterated weighted geodesic combination: interpolate
-    through the vertices with Dirichlet weights (depth k-1 >= 3 for k >= 4).
-    In Euclidean space this reproduces the convex combination exactly, so
-    outputs satisfy LP membership in conv(vertices).
+    Each weight row w (Dirichlet unless given) maps the ambient vertices to
+    y = sum_i w_i v_i / sum_i w_i, which is scaled onto the model: y in R^n,
+    y/|y| on S^n, y/sqrt(-<y,y>_M) on H^n.  So the weights are convex weights
+    in R^n and, in the gnomonic (S^n) or Klein (H^n) chart, homogeneous
+    barycentric coordinates.  S^n needs the vertices in an open hemisphere
+    (certify asks for a pi/4 cap); a vanishing y raises GeometryError.
     """
     v = np.atleast_2d(np.asarray(vertices, dtype=float))
     k = v.shape[0]
@@ -305,16 +316,7 @@ def hull_sample(space: SpaceForm, vertices: np.ndarray, n: int, rng=0,
         if np.any(total <= 0):
             raise GeometryError("each row of weights must have a positive sum")
         weights = weights / total
-    kind = space.kind
-    x = np.broadcast_to(embed(space, v[0]), (n, embed(space, v[0]).shape[-1])).copy()
-    acc = weights[:, 0].copy()
-    for i in range(1, k):
-        wi = weights[:, i]
-        new_acc = acc + wi
-        t = np.where(new_acc > 1e-300, wi / np.where(new_acc > 1e-300, new_acc, 1.0), 0.0)
-        x = _interp_can(kind, x, np.broadcast_to(embed(space, v[i]), x.shape), t)
-        acc = new_acc
-    return unembed(space, x)
+    return unembed(space, _renorm(space.kind, weights @ embed(space, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +390,14 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
     Designed for 5-gon boundaries, where the density bounds are sharp enough
     to always certify; longer knotted boundaries are expected to fail and
     come back Inconclusive.  Distances are closed forms, those of the
-    simplicity check's segment pairs too, and all samples go
-    through the density kernel in one batch; samples within tol of the curve
-    get the on-curve chain angle and bound.  The k vertices go through the
-    same kernel call as at-vertex apexes, and a vertex at or above its bound
-    makes the verdict Inconclusive with a reason naming it.  The worst
-    sample is the first hull sample of least margin.  Verdict Certified
-    means every hull sample and every vertex satisfied its strict density
-    bound; it is evidence at the sampled resolution, not a proof over the
-    whole hull.
+    simplicity check's segment pairs too, and all samples go through the
+    density kernel in one batch; samples within tol of the curve get the
+    on-curve chain angle and bound.  The k vertices join the same angle call
+    as at-vertex apexes, with no detection, and a vertex at or above its bound
+    makes the verdict Inconclusive with a reason naming it.  The worst sample
+    is the first hull sample of least margin.  Verdict Certified means every
+    hull sample and every vertex satisfied its strict density bound; it is
+    evidence at the sampled resolution, not a proof over the whole hull.
     """
     report = validate(curve)
     if not report.simple:
@@ -420,7 +421,9 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
         preconditions.append(f"enclosing geodesic ball radius {radius:.6f} < pi/4")
 
     samples = hull_sample(space, curve.vertices, n_samples, rng=rng)
-    angle, case, index = _densities(space, np.concatenate([samples, curve.vertices]), curve, tol)
+    case, index = _locate(space, samples, curve, tol)
+    case, index = np.r_[case, [_AT_VERTEX] * curve.k], np.r_[index, np.arange(curve.k)]
+    angle = _angles(space, np.concatenate([samples, curve.vertices]), curve, case, index)
     bound = _bounds(curve, case, index)
     density = angle / (2.0 * math.pi)
     worst = None

@@ -239,11 +239,16 @@ def _dist_can(kind: Kind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(t < 2.0, 2.0 * np.arcsinh(0.5 * np.sqrt(s)), np.arccosh(t))
 
 
-def _renorm_sphere(y: np.ndarray) -> np.ndarray:
-    return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-
-def _renorm_hyperboloid(y: np.ndarray) -> np.ndarray:
+def _renorm(kind: Kind, y: np.ndarray) -> np.ndarray:
+    """Scale ambient vectors onto the canonical model of kind: the identity in
+    R^n, y/|y| on S^n and y/sqrt(q), q = -<y,y>_M, on the hyperboloid sheet."""
+    if kind is Kind.EUCLIDEAN:
+        return y
+    if kind is Kind.SPHERE:
+        r = np.linalg.norm(y, axis=-1, keepdims=True)
+        if np.any(r < ANTIPODAL_TOL):
+            raise GeometryError("an ambient vector near 0 names no point of the sphere")
+        return y / r
     q = y[..., 0] ** 2 - np.sum(y[..., 1:] ** 2, axis=-1)
     if np.any(q <= 0):
         raise NumericalError("left the hyperboloid sheet")
@@ -256,25 +261,16 @@ def _interp_can(kind: Kind, a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     if kind is Kind.EUCLIDEAN:
         return (1.0 - t) * a + t * b
     d = _dist_can(kind, a, b)[..., None]
-    if kind is Kind.SPHERE:
-        if np.any(np.pi - d < ANTIPODAL_TOL):
-            raise NonUniqueGeodesicError(
-                "geodesic between near-antipodal points is not unique"
-            )
-        small = d < 1e-9
-        safe = np.where(small, 1.0, np.sin(d))
-        out = (np.sin((1.0 - t) * d) * a + np.sin(t * d) * b) / safe
-        if np.any(small):
-            lin = (1.0 - t) * a + t * b
-            out = np.where(small, lin, out)
-        return _renorm_sphere(out)
+    if kind is Kind.SPHERE and np.any(np.pi - d < ANTIPODAL_TOL):
+        raise NonUniqueGeodesicError("geodesic between near-antipodal points is not unique")
+    sin = np.sin if kind is Kind.SPHERE else np.sinh
     small = d < 1e-9
-    safe = np.where(small, 1.0, np.sinh(d))
-    out = (np.sinh((1.0 - t) * d) * a + np.sinh(t * d) * b) / safe
+    safe = np.where(small, 1.0, sin(d))
+    out = (sin((1.0 - t) * d) * a + sin(t * d) * b) / safe
     if np.any(small):
         lin = (1.0 - t) * a + t * b
         out = np.where(small, lin, out)
-    return _renorm_hyperboloid(out)
+    return _renorm(kind, out)
 
 
 def _angle_can(kind: Kind, p, u, v) -> np.ndarray:
@@ -414,12 +410,7 @@ class Isometry:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Apply to model coords of self.space, returning the same model."""
         y = embed(self.space, np.asarray(x, dtype=float))
-        y = y @ self.matrix.T + self.offset
-        if self.space.kind is Kind.SPHERE:
-            y = _renorm_sphere(y)
-        elif self.space.kind is Kind.HYPERBOLIC:
-            y = _renorm_hyperboloid(y)
-        return unembed(self.space, y)
+        return unembed(self.space, _renorm(self.space.kind, y @ self.matrix.T + self.offset))
 
     def inverse(self) -> "Isometry":
         if self.space.kind is Kind.EUCLIDEAN:

@@ -329,25 +329,35 @@ def test_on_curve_chain_angle_matches_segment_loop(space, closed, rng):
         assert rep.bound_applied == on_curve_bound(space, x, curve)
 
 
+def densities(space, x, curve, tol):
+    """Cone angle, case code and curve index of each apex, case detected."""
+    case, index = cone._locate(space, x, curve, tol)
+    return cone._angles(space, x, curve, case, index), case, index
+
+
 @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
 @pytest.mark.parametrize("space", FIVE_MODELS, ids=FIVE_IDS)
 def test_density_kernel_batch_matches_per_apex(space, closed, rng):
     """One batched kernel call against one call per apex, bit for bit: three
     vertices (both ends of an open curve among them), two edge points and
-    hull samples off the curve, on curves of five and nine vertices."""
+    hull samples off the curve, on curves of five and nine vertices.  All the
+    vertices at once, given their case, against the detected path too."""
     tol = cone.ON_CURVE_TOL
     for k in (5, 9):
         verts = model_polygon(space, rng, k)
         curve = PolygonalCurve(space, verts, closed=closed)
         edges = [geodesic_point(space, verts[i], verts[i + 1], 0.4).coords for i in (0, 2)]
         apexes = np.concatenate([verts[[0, 1, k - 1]], edges, hull_sample(space, verts, 6, rng=1)])
-        angle, case, index = cone._densities(space, apexes, curve, tol)
+        angle, case, index = densities(space, apexes, curve, tol)
         assert [cone._CASES[c] for c in case] == (
             [DensityCase.AT_VERTEX] * 3 + [DensityCase.ON_EDGE] * 2 + [DensityCase.OFF_CURVE] * 6)
         assert index.tolist() == [0, 1, k - 1, 0, 2] + [-1] * 6
         for i, x in enumerate(apexes):
-            one = cone._densities(space, x[None], curve, tol)
+            one = densities(space, x[None], curve, tol)
             assert (one[0][0], one[1][0], one[2][0]) == (angle[i], case[i], index[i])
+        # certify's vertex rows skip detection: their known case gives the same angles
+        known = cone._angles(space, verts, curve, np.full(k, cone._AT_VERTEX), np.arange(k))
+        assert np.array_equal(known, densities(space, verts, curve, tol)[0])
         # an open curve's ends (rows 0 and 2) have no bound
         rows = np.arange(len(apexes)) if closed else np.r_[1, 3:len(apexes)]
         for i, bound in zip(rows, cone._bounds(curve, case[rows], index[rows])):
@@ -445,6 +455,40 @@ def test_hull_sample_weight_validation(rng):
         w[0, 2] = bad
         with pytest.raises(GeometryError, match="finite"):
             hull_sample(SpaceForm.euclidean(3), verts, 1, weights=w)
+
+
+@pytest.mark.parametrize("space", FIVE_MODELS[1:], ids=FIVE_IDS[1:])
+def test_curved_hull_samples_lie_in_the_vertex_cone(space, rng):
+    """Each sample's ambient coordinates are a non-negative combination of the
+    embedded vertices, by an independent non-negative least-squares solve."""
+    verts = model_polygon(space, rng, 5)
+    ambient = embed(space, verts).T
+    for s in embed(space, hull_sample(space, verts, 40, rng=2)):
+        _, residual = nnls(ambient, s)
+        assert residual < 1e-12
+
+
+@pytest.mark.parametrize("space", FIVE_MODELS, ids=FIVE_IDS)
+def test_hull_sample_midpoints_vertices_and_isometries(space, rng):
+    """Weights (1/2, 1/2) give the geodesic midpoint, a single non-zero weight
+    gives its vertex, and sampling commutes with isometries."""
+    verts = model_polygon(space, rng, 5)
+    mid = hull_sample(space, verts[1:3], 1, weights=np.array([[0.5, 0.5]]))[0]
+    assert mid == pytest.approx(geodesic_point(space, verts[1], verts[2], 0.5).coords, abs=1e-14)
+    assert hull_sample(space, verts, 5, weights=3.0 * np.eye(5)) == pytest.approx(verts, abs=1e-14)
+    iso = random_isometry(space, rng)
+    w = rng.dirichlet(np.ones(5), size=50)
+    moved = hull_sample(space, iso.apply(verts), 50, weights=w)
+    assert embed(space, moved) == pytest.approx(
+        embed(space, iso.apply(hull_sample(space, verts, 50, weights=w))), abs=1e-12)
+
+
+@pytest.mark.parametrize("model", [Model.UNIT_SPHERE, Model.STEREO_BALL])
+def test_hull_sample_rejects_a_vanishing_sphere_combination(model):
+    space = SpaceForm.sphere(2, model)
+    antipodes = unembed(space, np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]))
+    with pytest.raises(GeometryError):
+        hull_sample(space, antipodes, 1, weights=np.array([[0.5, 0.5]]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Property tests of curve distances and cone angles in all five coordinate models.
+"""Property tests of curve distances, cone angles and certify verdicts in all
+five coordinate models.
 
 Inputs are drawn in the chart of each kind (Cartesian, stereographic ball,
 Poincare ball) around its base point and converted to the model under test.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -17,12 +20,14 @@ from curvebound import (
     Model,
     PolygonalCurve,
     SpaceForm,
+    certify_embedded,
     cone_angle,
     convert_coords,
     embed,
     point_curve_distance,
     random_isometry,
     segment_pair_distance,
+    validate,
     vertex_angle,
 )
 from curvebound.polycurve import _segseg_can
@@ -42,15 +47,16 @@ ORACLE_POINTS = 2001
 INVARIANCE_TOL = 1e-9
 BATCH_TOL = 1e-15
 ROUNDING = 1e-12
+CERTIFY_SAMPLES = 200
 
 seeds = st.integers(0, 2**32 - 1)
 property_settings = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
 
-def chart_points(space: SpaceForm, rng, n: int) -> np.ndarray:
-    """n points within chart radius 0.6 of the base point, in space.model coords."""
+def chart_points(space: SpaceForm, rng, n: int, radius: float = 0.6) -> np.ndarray:
+    """n points within chart radius ``radius`` of the base point, in space.model coords."""
     x = rng.standard_normal((n, space.dim))
-    x *= (0.6 * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / 3.0)) / np.linalg.norm(x, axis=-1, keepdims=True)
+    x *= (radius * rng.uniform(0.0, 1.0, (n, 1)) ** (1.0 / 3.0)) / np.linalg.norm(x, axis=-1, keepdims=True)
     chart = space.with_model(CHART[space.kind])
     return convert_coords(chart, x, space.model)
 
@@ -188,3 +194,54 @@ def test_dense_sampling_brackets_segment_pair_distance(space, seed):
     gap = float(lens) / (2 * (ORACLE_POINTS - 1))
     exact = segment_pair_distance(space, a0, a1, b0, b1)
     assert oracle - gap - ROUNDING <= exact <= oracle + ROUNDING
+
+
+def certify_summary(space: SpaceForm, vertices: np.ndarray, seed: int):
+    """certify's verdict, its reason with the numbers blanked (which checks
+    failed, not by how much) and the worst sampled density (None when a
+    precondition failed before sampling)."""
+    curve = PolygonalCurve(space, vertices)
+    assume(validate(curve).simple)
+    cert = certify_embedded(space, curve, n_samples=CERTIFY_SAMPLES, rng=seed)
+    reason = None if cert.reason is None else re.sub(r"\d+(\.\d+)?", "#", cert.reason)
+    return cert.verdict, reason, None if cert.worst is None else cert.worst.density
+
+
+def assert_same_certificate(a, b):
+    assert a[:2] == b[:2]
+    assert (a[2] is None) == (b[2] is None)
+    if a[2] is not None:
+        assert abs(a[2] - b[2]) <= ROUNDING
+
+
+def certify_polygon(space: SpaceForm, rng) -> np.ndarray:
+    """Vertices of a random 5- to 7-gon of chart radius 0.2-0.7: about a third
+    of them fail a sampled density bound, and on the sphere they fall on both
+    sides of certify's pi/4 cap (chart radius tan(pi/8) = 0.41)."""
+    return chart_points(space, rng, int(rng.integers(5, 8)), rng.uniform(0.2, 0.7))
+
+
+@pytest.mark.parametrize("space", MODELS, ids=ids)
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(seed=seeds)
+def test_certify_verdict_isometry_invariant(space, seed):
+    rng = np.random.default_rng(seed)
+    verts = certify_polygon(space, rng)
+    iso = random_isometry(space, rng)
+    assert_same_certificate(certify_summary(space, verts, seed),
+                            certify_summary(space, moved(space, iso, verts), seed))
+
+
+@pytest.mark.parametrize("models", [(Model.UNIT_SPHERE, Model.STEREO_BALL),
+                                    (Model.HYPERBOLOID, Model.POINCARE_BALL)],
+                         ids=["sphere", "hyperbolic"])
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(seed=seeds)
+def test_certify_verdict_model_invariant(models, seed):
+    rng = np.random.default_rng(seed)
+    kind = Kind.SPHERE if models[0] is Model.UNIT_SPHERE else Kind.HYPERBOLIC
+    space = SpaceForm(kind, 3, models[0])
+    verts = certify_polygon(space, rng)
+    other = space.with_model(models[1])
+    assert_same_certificate(certify_summary(space, verts, seed),
+                            certify_summary(other, convert_coords(space, verts, models[1]), seed))

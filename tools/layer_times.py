@@ -19,6 +19,10 @@ On a closed curve of LONG_K vertices it reports the least of LONG_ROUNDS
 single calls of ``validate`` (R^3, S^3, H^3) and ``knot.project``, in
 microseconds, and the tracemalloc peak of one more call, in MB.
 
+``cone.hull_sample`` draws HULL_SAMPLES hull samples of each pentagon, with
+the Dirichlet draw ``certify_embedded`` makes, timed like the pentagon layers
+per call and per sample.
+
 ``cone.min_enclosing_ball`` is timed on the S^3 pentagon like the pentagon
 layers, and on random caps of CAP_RADIUS in S^3 with CAP_KS vertices: per
 call, the least of ROUNDS means of CALLS // MASK_SHARE calls up to k = 20,
@@ -38,7 +42,7 @@ import tracemalloc
 import numpy as np
 
 from curvebound import Model, PolygonalCurve, SpaceForm, embed, project, simple_mask_euclidean, validate
-from curvebound.cone import min_enclosing_ball
+from curvebound.cone import hull_sample, min_enclosing_ball
 from curvebound.polycurve import _nonadjacent_pairs, _segments, _segseg_can
 
 CALLS = 200  # calls per timed round
@@ -50,6 +54,7 @@ LONG_ROUNDS = 3  # single timed calls on a long curve; the least counts
 DIRECTION = (0.1, 0.2, 1.0)  # knot projection direction
 CAP_KS = (12, 20, 100)  # vertices of the random S^3 caps
 CAP_RADIUS = 0.5  # their largest vertex distance from the cap's centre
+HULL_SAMPLES = 1000  # certify_embedded's default sample count
 
 
 def pentagons() -> dict[str, PolygonalCurve]:
@@ -138,6 +143,10 @@ def main() -> int:
             layers[f"{layer}.{name}"] = {"per_call": round(per_call, 2),
                                          "per_pair": round(per_call / i.size, 2),
                                          "pairs": int(i.size)}
+        per_call = best_mean_us(lambda: hull_sample(curve.space, curve.vertices, HULL_SAMPLES))
+        layers[f"cone.hull_sample.{name}"] = {"per_call": round(per_call, 2),
+                                              "per_sample": round(per_call / HULL_SAMPLES, 4),
+                                              "samples": HULL_SAMPLES}
     rng = np.random.default_rng(0)
     for shape in MASK_SHAPES:
         batch = rng.standard_normal(shape)
