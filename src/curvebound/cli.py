@@ -175,26 +175,33 @@ def load_curve_file(path: str) -> dict:
 
 
 def _space_from_file(data: dict) -> SpaceForm:
-    from .spaceform import Kind, Model, SpaceForm
+    """The file's space form; without a ``model`` field, its kind's canonical model."""
+    from .spaceform import _CANONICAL, Kind, Model, SpaceForm
 
     kind = Kind(data["space"])
-    dim = data["dim"]
-    if "model" in data:
-        return SpaceForm(kind, dim, Model(data["model"]))
-    if kind is Kind.EUCLIDEAN:
-        return SpaceForm.euclidean(dim)
-    if kind is Kind.SPHERE:
-        return SpaceForm.sphere(dim)
-    return SpaceForm.hyperbolic(dim, Model.HYPERBOLOID)
+    return SpaceForm(kind, data["dim"], Model(data.get("model", _CANONICAL[kind])))
 
 
-def polygonal_from_file(data: dict) -> PolygonalCurve:
-    from .polycurve import PolygonalCurve
+def _vertices_from_file(data: dict) -> tuple[SpaceForm, np.ndarray]:
+    """The file's space and vertices, which must satisfy its model within
+    spaceform.POINT_COORDS_TOL."""
+    from .spaceform import check_point_coords
 
     if "vertices" not in data:
         raise InputError("this command needs a curve file with a 'vertices' field")
     space = _space_from_file(data)
     verts = np.asarray(data["vertices"], dtype=float)
+    try:
+        check_point_coords(space, verts)
+    except GeometryError as exc:
+        raise InputError(f"invalid curve: {exc}") from exc
+    return space, verts
+
+
+def polygonal_from_file(data: dict) -> PolygonalCurve:
+    from .polycurve import PolygonalCurve
+
+    space, verts = _vertices_from_file(data)
     try:
         return PolygonalCurve(space, verts, closed=data["closed"])
     except GeometryError as exc:
@@ -218,17 +225,12 @@ def sampled_from_file(data: dict) -> SampledCurve:
 
 def _unit_sphere_points(data: dict) -> np.ndarray:
     """Configuration vertices in embedded unit-sphere coordinates."""
-    from .spaceform import Model, convert_coords
+    from .spaceform import embed
 
-    if "vertices" not in data:
-        raise InputError("this command needs a curve file with a 'vertices' field")
+    space, verts = _vertices_from_file(data)
     if data["space"] != "sphere":
         raise InputError("this command expects a spherical configuration")
-    space = _space_from_file(data)
-    pts = np.asarray(data["vertices"], dtype=float)
-    if space.model is not Model.UNIT_SPHERE:
-        pts = convert_coords(space, pts, Model.UNIT_SPHERE)
-    return pts
+    return embed(space, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -436,11 +438,10 @@ def _cmd_hyp_density(args) -> tuple[dict, dict | None, int]:
     from .hyp_density import ConeSurface, cone_boundary_integral, density_bound_check
 
     curve = sampled_from_file(load_curve_file(args.curve))
-    m = args.m if args.m is not None else 2
     cone = ConeSurface(curve)
-    chk = density_bound_check(cone, m=m)
+    chk = density_bound_check(cone)
     radii = _parse_floats(args.radii, "--radii") if args.radii else [0.1, 1.0, 5.0, 10.0]
-    values = [cone_boundary_integral(cone, m=m, R=r) for r in radii]
+    values = [cone_boundary_integral(cone, R=r) for r in radii]
     spread = max(values) - min(values)
     results = chk.as_dict()
     for key in ("measured", "bound", "slack", "theta"):
@@ -451,12 +452,9 @@ def _cmd_hyp_density(args) -> tuple[dict, dict | None, int]:
     return results, None, 0 if chk.embedded_certificate else 2
 
 
-def _tangent_direction(c: float) -> np.ndarray:
-    return np.array([2.0 * c, 0.0, math.sqrt(max(0.0, 1.0 - 4.0 * c * c))])
-
-
 def _cmd_h2xr_check(args) -> tuple[dict, dict | None, int]:
     from .h2xr import (
+        _normal_tangent,
         decay_graph,
         end_curve_ratio,
         geodesic_ode_residual,
@@ -487,7 +485,7 @@ def _cmd_h2xr_check(args) -> tuple[dict, dict | None, int]:
             c = rng.uniform(0.0, 0.5)
         else:
             c = 10.0 ** rng.uniform(-9.0, -5.0)
-        tang = _tangent_direction(c)
+        tang = _normal_tangent(c)
         w = rng.standard_normal(3)
         w -= (w @ tang) * tang
         nw = np.linalg.norm(w)
@@ -544,20 +542,6 @@ def _cmd_knot_det(args) -> tuple[dict, dict | None, int]:
         "gauss_code": list(diagram.gauss_code),
     }
     return results, budget, 0
-
-
-_HANDLERS = {
-    "totcurv": _cmd_totcurv,
-    "bounds-check": _cmd_bounds_check,
-    "extremal-search": _cmd_extremal_search,
-    "sharpness": _cmd_sharpness,
-    "certify": _cmd_certify,
-    "mobius-vol": _cmd_mobius_vol,
-    "cone-density": _cmd_cone_density,
-    "hyp-density": _cmd_hyp_density,
-    "h2xr-check": _cmd_h2xr_check,
-    "knot-det": _cmd_knot_det,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +601,9 @@ def build_parser() -> argparse.ArgumentParser:
         "format": dict(choices=("json", "csv"), default="json", help="report format"),
     }
 
-    def add(name: str, help_: str, curve: bool, flags=()) -> argparse.ArgumentParser:
+    def add(name: str, handler, help_: str, curve: bool, flags=()) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
+        p.set_defaults(handler=handler)
         if curve:
             p.add_argument("curve", help="path to a JSON curve file")
         for flag in flags:
@@ -626,44 +611,47 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="report path (default stdout)")
         return p
 
-    add("totcurv", "total curvature of a polygonal curve", curve=True)
+    add("totcurv", _cmd_totcurv, "total curvature of a polygonal curve", curve=True)
 
-    p = add("bounds-check", "check a spherical configuration against its length bound",
-            curve=True, flags=("tol",))
+    p = add("bounds-check", _cmd_bounds_check,
+            "check a spherical configuration against its length bound", curve=True,
+            flags=("tol",))
     p.add_argument("--variant", choices=BOUND_VARIANTS, default=None)
 
-    p = add("extremal-search", "search for length-maximizing spherical configurations",
-            curve=False, flags=("seed", "budget"))
+    p = add("extremal-search", _cmd_extremal_search,
+            "search for length-maximizing spherical configurations", curve=False,
+            flags=("seed", "budget"))
     p.add_argument("--k", type=int, default=5, help="number of vertices (default 5)")
     p.add_argument("--variant", choices=BOUND_VARIANTS, default=None)
 
-    p = add("sharpness", "construct a near-extremal simple closed polygon", curve=False,
-            flags=("seed",))
+    p = add("sharpness", _cmd_sharpness, "construct a near-extremal simple closed polygon",
+            curve=False, flags=("seed",))
     p.add_argument("--m", type=int, default=None, help="bound parameter: target 2m pi")
     p.add_argument("--eps", type=float, default=None, help="curvature deficit (default 1e-2)")
 
-    add("certify", "sampled embeddedness certificate for a 5-gon boundary", curve=True,
-        flags=("seed", "budget", "tol"))
+    add("certify", _cmd_certify, "sampled embeddedness certificate for a 5-gon boundary",
+        curve=True, flags=("seed", "budget", "tol"))
 
-    add("mobius-vol", "supremum of spherical length over ball Mobius translations",
-        curve=True, flags=("seed", "budget"))
+    add("mobius-vol", _cmd_mobius_vol,
+        "supremum of spherical length over ball Mobius translations", curve=True,
+        flags=("seed", "budget"))
 
-    p = add("cone-density", "cone angle and density bound at a point", curve=True,
-            flags=("tol",))
+    p = add("cone-density", _cmd_cone_density, "cone angle and density bound at a point",
+            curve=True, flags=("tol",))
     p.add_argument("--point", default=None, help="comma-separated apex coordinates")
 
-    p = add("hyp-density", "hyperbolic cone density bound at the cone point", curve=True)
-    p.add_argument("--m", type=int, default=None, help="ambient dimension (default 2)")
+    p = add("hyp-density", _cmd_hyp_density,
+            "hyperbolic cone density bound at the cone point", curve=True)
     p.add_argument("--radii", default=None,
                    help="comma-separated radii for the spread check")
 
-    p = add("h2xr-check", "residual and end-curve checks in H2 x R", curve=False,
-            flags=("seed", "budget", "format"))
+    p = add("h2xr-check", _cmd_h2xr_check, "residual and end-curve checks in H2 x R",
+            curve=False, flags=("seed", "budget", "format"))
     p.add_argument("--radii", default=None,
                    help="comma-separated end-curve radii (default 2,4,8,16)")
 
-    p = add("knot-det", "knot determinant from a generic planar projection", curve=True,
-            flags=("seed", "budget"))
+    p = add("knot-det", _cmd_knot_det, "knot determinant from a generic planar projection",
+            curve=True, flags=("seed", "budget"))
     p.add_argument("--direction", default=None,
                    help="comma-separated projection direction (default: random)")
 
@@ -678,7 +666,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     try:
-        results, budget, code = _HANDLERS[args.command](args)
+        results, budget, code = args.handler(args)
     except (InputError, GeometryError) as exc:
         sys.stderr.write(f"curvebound: error: {exc}\n")
         return 1

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import GeometryError, NumericalError, OnCurveError
 from .polycurve import (
     PolygonalCurve,
+    _check_space,
     _segment_distances,
     _segments,
     point_curve_distance,
@@ -34,9 +35,9 @@ from .spaceform import (
     convert_coords,
     dist_arrays,
     embed,
-    geodesic_arrays,
     unembed,
     vertex_angle_arrays,
+    _coerce,
     _dist_can,
     _renorm,
 )
@@ -111,11 +112,12 @@ class Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _coerce_coords(space: SpaceForm, p) -> np.ndarray:
-    x = np.asarray(getattr(p, "coords", p), dtype=float)
-    if x.shape != (space.ambient_dim,):
+def _coerce_coords(space: SpaceForm, p, curve: PolygonalCurve) -> np.ndarray:
+    """Coords of one apex p of space, which must be the curve's space."""
+    _check_space(space, curve)
+    if np.shape(getattr(p, "coords", p)) != (space.ambient_dim,):
         raise GeometryError(f"apex coords must have length {space.ambient_dim}")
-    return x
+    return _coerce(space, p)
 
 
 def _check_sphere_admissible(space: SpaceForm, p: np.ndarray, curve: PolygonalCurve) -> None:
@@ -217,7 +219,7 @@ def cone_angle(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     direction sphere at p.  The apex must lie off the curve; on the sphere
     it must also be non-antipodal to every curve point.
     """
-    x = _coerce_coords(space, p)[None]
+    x = _coerce_coords(space, p, curve)[None]
     case, index = _locate(space, x, curve, ON_CURVE_TOL)
     if case[0]:
         raise OnCurveError("apex lies on the curve; use on_curve_bound")
@@ -227,7 +229,7 @@ def cone_angle(space: SpaceForm, p, curve: PolygonalCurve) -> float:
 def on_curve_bound(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     """Density bound for an apex on the curve: 3/2 on an edge interior,
     3/2 - theta/(2 pi) at a vertex of exterior angle theta."""
-    case, index = _locate(space, _coerce_coords(space, p)[None], curve, ON_CURVE_TOL)
+    case, index = _locate(space, _coerce_coords(space, p, curve)[None], curve, ON_CURVE_TOL)
     if not case[0]:
         raise GeometryError("point does not lie on the curve")
     return float(_bounds(curve, case, index)[0])
@@ -237,47 +239,39 @@ def density_report(space: SpaceForm, p, curve: PolygonalCurve,
                    tol: float = ON_CURVE_TOL) -> ConeDensityReport:
     """Cone density at p with the applicable strict bound; p lies on the
     curve when it is within tol of it."""
-    x = _coerce_coords(space, p)[None]
+    x = _coerce_coords(space, p, curve)[None]
     case, index = _locate(space, x, curve, tol)
     angle = _angles(space, x, curve, case, index)
     return _report(x[0], angle[0], case[0], _bounds(curve, case, index)[0])
 
 
-def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve,
-                       samples_per_segment: int = 2048) -> float:
+def cone_angle_sampled(space: SpaceForm, p, curve: PolygonalCurve) -> float:
     """Oracle for cone_angle: a second closed form through another chart.
 
-    Moves p to the chart base point by an isometry, maps the vertices to
-    the chart in which geodesics from the base point become rays from the
-    origin (stereographic chart on the sphere, Poincare ball in hyperbolic
-    space, a translation in Euclidean space), samples every segment along
-    its geodesic in one call, radially projects the samples to the unit
-    sphere, and sums chord-limit arc lengths.  This is no quadrature: a
-    segment and the apex span a totally geodesic plane, a plane through the
-    origin in the chart, so the sample arcs add up to one great-circle arc.
+    Moves p to the chart base point by an isometry and maps the vertices to
+    the chart in which geodesics from the base point are rays from the
+    origin: the stereographic chart on the sphere, the Poincare ball in
+    hyperbolic space, a translation in Euclidean space.  Each segment then
+    adds the great-circle arc between the radial projections of its end
+    vertices onto the unit sphere.  One arc per segment is exact, not a
+    quadrature: the segment and the apex span a totally geodesic plane,
+    which the chart maps into a plane through the origin, so the radial
+    projection of the whole segment is that one arc, shorter than pi.  It
+    never meets cone_angle's tangent vectors at p.
     """
-    x = _coerce_coords(space, p)
+    x = _coerce_coords(space, p, curve)
     if point_curve_distance(space, x, curve) < ON_CURVE_TOL:
         raise OnCurveError("apex lies on the curve; use on_curve_bound")
     if space.kind is Kind.SPHERE:
         _check_sphere_admissible(space, x, curve)
-    iso = base_point_isometry(space, x)
-    if space.kind is Kind.SPHERE:
-        chart_space = space.with_model(Model.STEREO_BALL)
-    elif space.kind is Kind.HYPERBOLIC:
-        chart_space = space.with_model(Model.POINCARE_BALL)
-    else:
-        chart_space = space
-    starts, ends = _segments(convert_coords(space, iso.apply(curve.vertices), chart_space.model),
-                             curve.closed)
-    t = np.linspace(0.0, 1.0, samples_per_segment + 1)
-    # every segment, sampled along its geodesic, in one (k, S+1) chart array
-    chart = geodesic_arrays(chart_space, starts[:, None, :], ends[:, None, :], t)
-    rad = np.sqrt(np.einsum("ksi,ksi->ks", chart, chart))
+    chart_model = {Kind.SPHERE: Model.STEREO_BALL, Kind.HYPERBOLIC: Model.POINCARE_BALL}
+    chart = convert_coords(space, base_point_isometry(space, x).apply(curve.vertices),
+                           chart_model.get(space.kind, space.model))
+    rad = np.sqrt(np.einsum("ki,ki->k", chart, chart))
     if np.any(rad < 1e-14):
         raise GeometryError("radial projection hit the apex")
-    step = np.diff(chart / rad[..., None], axis=1)
-    chords = np.sqrt(np.einsum("ksi,ksi->ks", step, step))
+    starts, ends = _segments(chart / rad[:, None], curve.closed)
+    chords = np.sqrt(np.einsum("ki,ki->k", ends - starts, ends - starts))
     return float(np.sum(2.0 * np.arcsin(np.clip(chords / 2.0, 0.0, 1.0))))
 
 
@@ -399,6 +393,7 @@ def certify_embedded(space: SpaceForm, curve: PolygonalCurve, n_samples: int = 1
     hull sample and every vertex satisfied its strict density bound; it is
     evidence at the sampled resolution, not a proof over the whole hull.
     """
+    _check_space(space, curve)
     report = validate(curve)
     if not report.simple:
         raise GeometryError(f"curve must be simple: {report.violations}")

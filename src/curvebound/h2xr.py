@@ -196,6 +196,11 @@ def _stretch(c: float, t):
     return np.sinh(2.0 * c * t) / (2.0 * c)
 
 
+def _normal_tangent(c: float) -> np.ndarray:
+    """Unit direction (2c, 0, sqrt(1 - 4c^2)) of the normal-form geodesic, orthonormal frame."""
+    return np.array([2.0 * c, 0.0, math.sqrt(max(0.0, 1.0 - 4.0 * c * c))])
+
+
 def jacobi(c: float, t, omega0) -> np.ndarray:
     """Jacobi field along the normal-form geodesic with J(0) = 0 and
     initial data omega0 (unit, orthogonal to gamma'(0) in the frame):
@@ -207,8 +212,7 @@ def jacobi(c: float, t, omega0) -> np.ndarray:
         raise GeometryError("omega0 must be a 3-vector in the orthonormal frame")
     if abs(np.linalg.norm(w) - 1.0) > 1e-9:
         raise GeometryError("omega0 must be a unit vector")
-    tangent = np.array([2.0 * c, 0.0, math.sqrt(max(0.0, 1.0 - 4.0 * c * c))])
-    if abs(float(np.dot(w, tangent))) > 1e-9:
+    if abs(float(np.dot(w, _normal_tangent(c)))) > 1e-9:
         raise GeometryError("omega0 must be orthogonal to the geodesic direction")
     t = np.asarray(t, dtype=float)
     comps = np.stack([t * w[0], _stretch(c, t) * w[1], t * w[2]], axis=-1)

@@ -94,7 +94,7 @@ class SampledCurve:
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         norms = np.linalg.norm(self.points, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a NaN norm fails too
             raise GeometryError("samples must be unit vectors")
         n = self.points.shape[0]
         self.breaks = tuple(sorted(int(b) % n for b in set(self.breaks)))

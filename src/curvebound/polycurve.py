@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GeometryError, NonUniqueGeodesicError
+from .errors import GeometryError, ModelMismatchError, NonUniqueGeodesicError
 from .spaceform import (
     ANTIPODAL_TOL,
     Isometry,
@@ -29,7 +29,6 @@ from .spaceform import (
 )
 
 SIMPLE_TOL = 1e-9
-MINIMIZING_TOL = 1e-8
 PAIR_BLOCK = 1 << 14  # polygon x segment-pair elements per block of a pair walk
 
 
@@ -351,11 +350,20 @@ def _segment_distances(kind: Kind, pc: np.ndarray, curve: PolygonalCurve) -> np.
     return _point_seg_can(kind, np.asarray(pc, dtype=float)[..., None, :], a, b)
 
 
+def _check_space(space: SpaceForm, curve: PolygonalCurve) -> None:
+    """Raise ModelMismatchError unless space is the curve's space form."""
+    if space != curve.space:
+        got, want = (f"{s.kind.value}/{s.model.value} of dim {s.dim}" for s in (space, curve.space))
+        raise ModelMismatchError(f"space {got} is not the curve's {want}")
+
+
 def point_curve_distance(space: SpaceForm, p, curve: PolygonalCurve):
     """Distance from the curve to each point of p (..., ambient_dim).
 
     The batched entry point for every curve distance; one point gives a float.
+    space must be the curve's space.
     """
+    _check_space(space, curve)
     d = np.min(_segment_distances(space.kind, embed(space, p), curve), axis=-1)
     return float(d) if d.ndim == 0 else d
 
@@ -408,7 +416,7 @@ def _defects(space: SpaceForm, v: np.ndarray, closed: bool) -> list[tuple]:
     out = [("coincident consecutive vertices at segment {}", *np.nonzero(~(lens >= SIMPLE_TOL)))]
     if space.kind is Kind.SPHERE:
         out.append(("segment {} joins near-antipodal endpoints",
-                    *np.nonzero(np.pi - lens < MINIMIZING_TOL)))
+                    *np.nonzero(np.pi - lens < ANTIPODAL_TOL)))
     live = np.ones(nrow, dtype=bool)
     for _, rows, _ in out:
         live[rows] = False

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -277,6 +278,11 @@ def test_each_subcommand_compiles_only_what_it_runs(every_subcommand):
         assert run_ == sorted(base + [f"curvebound.{m}" for m in LOADS[argv[0]]]), argv[0]
 
 
+def test_commands_are_the_parser_subcommands_in_order():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli.COMMANDS
+
+
 def test_parser_variants_are_the_bound_variants():
     assert cli.BOUND_VARIANTS == tuple(v.value for v in BoundVariant)
 
@@ -416,9 +422,10 @@ def test_hyp_density_pass_and_fail(capsys, circle_file, spiral_file):
 
 
 def test_hyp_density_rejects_wrong_m(capsys, circle_file):
-    code, _, err = run(capsys, ["hyp-density", circle_file, "--m", "3"])
-    assert code == 1
-    assert "m = 2" in err
+    # a cone over a curve is 2-dimensional, so hyp-density has no --m to set
+    code, out, err = run(capsys, ["hyp-density", circle_file, "--m", "3"])
+    assert code == 1 and out == ""
+    assert "unrecognized arguments: --m 3" in err
 
 
 def test_h2xr_check_json_and_csv(capsys):
@@ -550,6 +557,41 @@ def test_schema_violation_rejected(capsys, tmp_path):
     )
     code, _, _ = run(capsys, ["totcurv", path2])
     assert code == 1
+
+
+OFF_MODEL = {
+    "off_sphere": {"space": "sphere", "dim": 2,
+                   "vertices": [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+    "off_sheet": {"space": "hyperbolic", "dim": 2,
+                  "vertices": [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]]},
+    "poincare_outside": {"space": "hyperbolic", "dim": 2, "model": "poincare_ball",
+                         "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.5]]},
+    "nan": {"space": "euclidean", "dim": 3,
+            "vertices": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [float("nan"), 1.0, 0.0]]},
+}
+POLYGON_COMMANDS = [["totcurv"], ["bounds-check"], ["certify", "--budget", "20"],
+                    ["cone-density", "--point=0.1,0.1,0.1"], ["knot-det"]]
+
+
+@pytest.mark.parametrize("name", OFF_MODEL)
+@pytest.mark.parametrize("command", POLYGON_COMMANDS, ids=lambda c: c[0])
+def test_vertices_must_satisfy_their_model(capsys, tmp_path, name, command):
+    # json.dumps writes NaN as the literal that json.loads reads back
+    path = write_json(tmp_path, f"{name}.json", {**OFF_MODEL[name], "closed": True})
+    code, out, err = run(capsys, [command[0], path, *command[1:]])
+    assert code == 1 and out == ""
+    assert err.startswith("curvebound: error: invalid curve: ")
+
+
+@pytest.mark.parametrize("command", [["hyp-density"], ["mobius-vol", "--budget", "2,5"]],
+                         ids=lambda c: c[0])
+def test_nan_samples_are_rejected(capsys, tmp_path, command):
+    samples = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [float("nan"), 0.0, 1.0], [0.0, 0.0, 1.0]]
+    path = write_json(tmp_path, "nan.json",
+                      {"space": "sphere", "dim": 2, "closed": True, "samples": samples})
+    code, out, err = run(capsys, [command[0], path, *command[1:]])
+    assert code == 1 and out == ""
+    assert err == "curvebound: error: invalid sampled curve: samples must be unit vectors\n"
 
 
 def test_missing_file(capsys, tmp_path):

@@ -9,6 +9,7 @@ from curvebound import (
     DensityCase,
     GeometryError,
     Kind,
+    ModelMismatchError,
     NumericalError,
     Model,
     OnCurveError,
@@ -24,6 +25,7 @@ from curvebound import (
     hull_sample,
     min_enclosing_ball,
     on_curve_bound,
+    point_curve_distance,
     random_isometry,
     unembed,
     validate,
@@ -257,16 +259,47 @@ def test_dual_route_hyperbolic(rng):
     assert abs(a - b) < DUAL_ROUTE_TOL
 
 
+# each entry point that takes a space beside curve.space, called with another
+# space whose coordinate vectors have the curve's length
+SPACE_ENTRY_POINTS = {
+    "cone_angle": lambda space, p, curve: cone_angle(space, p, curve),
+    "on_curve_bound": lambda space, p, curve: on_curve_bound(space, curve.vertices[0], curve),
+    "density_report": lambda space, p, curve: density_report(space, p, curve),
+    "cone_angle_sampled": lambda space, p, curve: cone_angle_sampled(space, p, curve),
+    "certify_embedded": lambda space, p, curve: certify_embedded(space, curve, 20),
+    "point_curve_distance": lambda space, p, curve: point_curve_distance(space, p, curve),
+}
+
+
+@pytest.mark.parametrize("other", [SpaceForm.sphere(3, Model.STEREO_BALL), SpaceForm.euclidean(3)],
+                         ids=["S3-stereo", "E3"])
+@pytest.mark.parametrize("entry", SPACE_ENTRY_POINTS)
+def test_entry_points_reject_another_space(rng, entry, other):
+    # an H^3 pentagon read in another 3-coordinate space would give a finite,
+    # wrong cone angle on the sphere and a raw numpy error in R^3
+    curve = PolygonalCurve(SpaceForm.hyperbolic(3), 0.3 * random_simple_polygons(rng, 1)[0])
+    with pytest.raises(ModelMismatchError, match="is not the curve's hyperbolic/poincare_ball"):
+        SPACE_ENTRY_POINTS[entry](other, np.array([0.45, 0.1, -0.2]), curve)
+
+
+def test_apex_point_of_another_space_is_rejected():
+    space = SpaceForm.hyperbolic(3)
+    curve = PolygonalCurve(space, 0.3 * random_simple_polygons(np.random.default_rng(3), 1)[0])
+    apex = geodesic_point(SpaceForm.sphere(3, Model.STEREO_BALL), np.zeros(3),
+                          np.array([0.45, 0.1, -0.2]), 1.0)
+    with pytest.raises(ModelMismatchError, match="point belongs to sphere/stereo_ball"):
+        cone_angle(space, apex, curve)
+
+
 @pytest.mark.parametrize("space", [SpaceForm.euclidean(3), SpaceForm.hyperbolic(3),
                                    SpaceForm.sphere(3, Model.STEREO_BALL)])
 def test_sampled_angle_sums_its_segments(space, rng):
-    # the one-pass quadrature equals one pass per segment
+    # the whole curve in one pass equals one pass per segment
     verts = 0.3 * random_simple_polygons(rng, 1)[0]
     p = np.array([0.45, 0.1, -0.2])
-    whole = cone_angle_sampled(space, p, PolygonalCurve(space, verts), samples_per_segment=256)
+    whole = cone_angle_sampled(space, p, PolygonalCurve(space, verts))
     parts = sum(cone_angle_sampled(space, p, PolygonalCurve(space, verts[[i, (i + 1) % 5]],
-                                                            closed=False),
-                                   samples_per_segment=256)
+                                                            closed=False))
                 for i in range(5))
     assert whole == pytest.approx(parts, rel=0.0, abs=1e-14)
 

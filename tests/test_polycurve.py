@@ -31,6 +31,7 @@ from curvebound import (
 )
 from curvebound import determinant, polycurve, project
 from curvebound.polycurve import PAIR_BLOCK, SIMPLE_TOL, _nonadjacent_pairs
+from curvebound.spaceform import ANTIPODAL_TOL
 
 from conftest import (curved_frame, euclidean_curve, exp_can, random_simple_polygons,
                       small_plane_pentagon)
@@ -309,6 +310,20 @@ def test_validate_near_antipodal_arc_on_sphere():
     rep = validate(PolygonalCurve(SpaceForm.sphere(2), v))
     assert not rep.simple
     assert any("antipodal" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("gap, reported", [(0.5, True), (2.0, False)])
+def test_validate_reports_near_antipodal_segments_at_the_geodesic_tolerance(gap, reported):
+    # validate reports a segment within ANTIPODAL_TOL of pi before the pair walk
+    # could raise NonUniqueGeodesicError on it, and walks a longer-gapped one
+    delta = gap * ANTIPODAL_TOL
+    d = np.array([0.3, -0.5, 0.8])
+    v = np.array([[1.0, 0.0, 0.0], [-np.cos(delta), np.sin(delta), 0.0], [0.0, 0.0, 1.0],
+                  d / np.linalg.norm(d)])
+    curve = PolygonalCurve(SpaceForm.sphere(2), v)
+    assert curve.segment_lengths()[0] == pytest.approx(np.pi - delta, rel=0.0, abs=1e-15)
+    rep = validate(curve)
+    assert rep.violations == (["segment 0 joins near-antipodal endpoints"] if reported else [])
 
 
 def test_nonadjacent_pairs_in_lexicographic_order():
