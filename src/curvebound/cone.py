@@ -39,7 +39,9 @@ from .spaceform import (
     vertex_angle_arrays,
     _coerce,
     _dist_can,
+    _half_angle,
     _renorm,
+    _tangents_can,
 )
 
 ON_CURVE_TOL = 1e-8
@@ -169,18 +171,21 @@ def _locate(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve,
 def _angles(space: SpaceForm, x: np.ndarray, curve: PolygonalCurve, case: np.ndarray,
             index: np.ndarray) -> np.ndarray:
     """Cone angle of each apex x (n, ambient_dim) in its case, at its index.
-    Off the curve every segment adds its apex angle, in one broadcast call,
-    and apexes in S^n must clear the curve's antipodes; on the curve, segments
-    through the apex add nothing, so only kept pairs are gathered."""
-    starts, ends = _segments(curve.vertices, curve.closed)
+    Off the curve the unit tangents towards the k vertices are formed once,
+    (n, k), and every segment adds the half-angle of its end tangents, paired
+    by _segments; apexes in S^n must clear the curve's antipodes.  On the
+    curve, segments through the apex add nothing, so only kept pairs are
+    gathered."""
     on = case != 0
     angle = np.empty(len(x))
     if not np.all(on):
         off = x[~on]
         if space.kind is Kind.SPHERE:
             _check_sphere_admissible(space, off, curve)
-        angle[~on] = np.sum(vertex_angle_arrays(space, off[:, None, :], starts, ends), axis=-1)
+        t = _tangents_can(space.kind, embed(space, off)[:, None, :], embed(space, curve.vertices))
+        angle[~on] = np.sum(_half_angle(*_segments(t, curve.closed), space.kind), axis=-1)
     if np.any(on):
+        starts, ends = _segments(curve.vertices, curve.closed)
         idx, at_vertex = index[on], case[on] == _AT_VERTEX
         s = np.arange(curve.n_segments)
         skip = (s == idx[:, None]) | (at_vertex[:, None] & ((s + 1) % curve.k == idx[:, None]))

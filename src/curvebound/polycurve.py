@@ -207,21 +207,19 @@ def _along(kind: Kind, a: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarra
     return np.cosh(s) * a + np.sinh(s) * u
 
 
-def _point_seg_can(kind: Kind, p, a, b) -> np.ndarray:
-    """Distance from p to the segment [a, b], canonical coords; all broadcast.
+def _foot_can(kind: Kind, p, a, u, ell) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the foot of p on the geodesic from a along the unit tangent u
+    lies on its segment [0, ell], and the distance from p to that geodesic;
+    canonical coords, all broadcast.
 
-    The foot of p on the full geodesic sits at angle atan2(y, x) on the sphere
-    and at tanh s = y / x on the hyperboloid, with x = K <p, a>, y = <p, u>.
-    When it lies on the segment the distance comes from the part n of p
-    normal to the geodesic plane: atan2(|n|, |(x, y)|) on the sphere and
-    arcsinh |n| on the hyperboloid, both accurate at separations far below
-    the on-curve tolerance, where arccosh(sqrt(x^2 - y^2)) returns 0 at 1e-8.
-    Otherwise the nearer endpoint is closest.
+    The foot sits at angle atan2(y, x) on the sphere and at tanh s = y / x on
+    the hyperboloid, with x = K <p, a>, y = <p, u>.  The distance comes from
+    the part n of p normal to the geodesic plane: atan2(|n|, |(x, y)|) on the
+    sphere and arcsinh |n| on the hyperboloid, both accurate at separations
+    far below the on-curve tolerance, where arccosh(sqrt(x^2 - y^2)) returns
+    0 at 1e-8.
     """
-    if kind is Kind.EUCLIDEAN:
-        return _point_seg_euclid(p, a, b)
     p = np.asarray(p, dtype=float)
-    u, ell = _frame_can(kind, a, b)
     x = _CURVATURE[kind] * _inner(kind, p, a)
     y = _inner(kind, p, u)
     n = p - x[..., None] * a - y[..., None] * u
@@ -232,8 +230,17 @@ def _point_seg_can(kind: Kind, p, a, b) -> np.ndarray:
     else:
         inside = (y >= 0.0) & (y <= x * np.tanh(ell))
         foot = np.arcsinh(np.sqrt(np.maximum(_mink_dot(n, n), 0.0)))
-    ends = np.minimum(_dist_can(kind, p, a), _dist_can(kind, p, b))
-    return np.where(inside, foot, ends)
+    return inside, foot
+
+
+def _point_seg_can(kind: Kind, p, a, b) -> np.ndarray:
+    """Distance from p to the segment [a, b], canonical coords; all broadcast:
+    the distance to the geodesic when _foot_can puts the foot on the segment,
+    else the distance to the nearer endpoint."""
+    if kind is Kind.EUCLIDEAN:
+        return _point_seg_euclid(p, a, b)
+    inside, foot = _foot_can(kind, p, a, *_frame_can(kind, a, b))
+    return np.where(inside, foot, np.minimum(_dist_can(kind, p, a), _dist_can(kind, p, b)))
 
 
 def _recentre(a0, a1, b0, b1) -> tuple[np.ndarray, ...]:
@@ -309,23 +316,41 @@ def _closest_on_b(kind: Kind, a, u, ha, b, v, hb) -> np.ndarray:
     return _dist_can(kind, _along(kind, a, u, np.clip(s, -ha, ha)), q)
 
 
+def _endpoints_to_segments(kind: Kind, a0, a1, b0, b1) -> np.ndarray:
+    """Least distance from an endpoint of either segment to the other segment,
+    canonical coords: _point_seg_can's four cases, with each segment's frame
+    and the four endpoint-endpoint distances formed once and shared by the
+    cases that use them.  The minimum accumulates in place."""
+    frame_b, frame_a = _frame_can(kind, b0, b1), _frame_can(kind, a0, a1)
+    d00, d01, d10, d11 = (_dist_can(kind, p, q) for p, q in ((a0, b0), (a0, b1), (a1, b0), (a1, b1)))
+
+    def case(p, start, frame, near0, near1):
+        inside, foot = _foot_can(kind, p, start, *frame)
+        return np.where(inside, foot, np.minimum(near0, near1))
+
+    # a0's and b1's cases between them span all four inputs' broadcast shape;
+    # asarray keeps a single pair's minimum an array to accumulate into
+    out = np.asarray(np.minimum(case(a0, b0, frame_b, d00, d01), case(b1, a0, frame_a, d01, d11)))
+    np.minimum(out, case(a1, b0, frame_b, d10, d11), out=out)
+    return np.minimum(out, case(b0, a0, frame_a, d00, d10), out=out)
+
+
 def _segseg_can(kind: Kind, a0, a1, b0, b1) -> np.ndarray:
     """Min distance between segments [a0, a1] and [b0, b1], canonical coords.
 
-    The minimum is at an endpoint of one segment, each taken by
-    _point_seg_can, or at the interior point _closest_on_b finds in closed
-    form; on the hyperboloid both run on the pair moved by _recentre.
+    The minimum is at an endpoint of one segment, taken by
+    _endpoints_to_segments, or at the interior point _closest_on_b finds in
+    closed form, which runs after the endpoint work is freed; on the
+    hyperboloid both run on the pair moved by _recentre.
     """
     a0, a1, b0, b1 = (np.asarray(x, dtype=float) for x in (a0, a1, b0, b1))
     if kind is Kind.EUCLIDEAN:
         return _segseg_euclid(*_seg_terms(a0, a1), *_seg_terms(b0, b1))
     if kind is Kind.HYPERBOLIC:
         a0, a1, b0, b1 = _recentre(a0, a1, b0, b1)
-    ends = np.minimum(
-        np.minimum(_point_seg_can(kind, a0, b0, b1), _point_seg_can(kind, a1, b0, b1)),
-        np.minimum(_point_seg_can(kind, b0, a0, a1), _point_seg_can(kind, b1, a0, a1)),
-    )
-    return np.minimum(ends, _closest_on_b(kind, *_mid_frame(kind, a0, a1), *_mid_frame(kind, b0, b1)))
+    out = _endpoints_to_segments(kind, a0, a1, b0, b1)
+    return np.minimum(out, _closest_on_b(kind, *_mid_frame(kind, a0, a1), *_mid_frame(kind, b0, b1)),
+                      out=out)
 
 
 def segment_pair_distance(space: SpaceForm, a0, a1, b0, b1) -> float:
@@ -339,15 +364,21 @@ def point_segment_distance(space: SpaceForm, p, a, b) -> float:
                                               for x in (p, a, b))))
 
 
-def _segment_ends(curve: PolygonalCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical start and end points of every segment, each (n_segments, m)."""
-    return _segments(embed(curve.space, curve.vertices), curve.closed)
-
-
 def _segment_distances(kind: Kind, pc: np.ndarray, curve: PolygonalCurve) -> np.ndarray:
-    """Distance from each canonical point pc (..., m) to each segment: (..., n_segments)."""
-    a, b = _segment_ends(curve)
-    return _point_seg_can(kind, np.asarray(pc, dtype=float)[..., None, :], a, b)
+    """Distance from each canonical point pc (..., m) to each segment: (..., n_segments).
+
+    On curved kinds the distances to the k vertices are formed once, (..., k),
+    and each segment takes the nearer of its two, paired by _segments, where
+    _foot_can puts the foot off the segment.
+    """
+    v = embed(curve.space, curve.vertices)
+    a, b = _segments(v, curve.closed)
+    p = np.asarray(pc, dtype=float)[..., None, :]
+    if kind is Kind.EUCLIDEAN:
+        return _point_seg_euclid(p, a, b)
+    inside, foot = _foot_can(kind, p, a, *_frame_can(kind, a, b))
+    near = np.minimum(*_segments(_dist_can(kind, p, v)[..., None], curve.closed))[..., 0]
+    return np.where(inside, foot, near)
 
 
 def _check_space(space: SpaceForm, curve: PolygonalCurve) -> None:
@@ -438,8 +469,8 @@ def _defects(space: SpaceForm, v: np.ndarray, closed: bool) -> list[tuple]:
     for i, j in _nonadjacent_pairs(ends[0].shape[1], closed, live.size):
         d = pair_dist(*(x[:, i] for x in terms), *(x[:, j] for x in terms))
         rows, pair = np.nonzero(~(d >= SIMPLE_TOL))
-        out.append(("segments {} and {} intersect (distance {:.2e})",
-                    live[rows], i[pair], j[pair], d[rows, pair]))
+        out.append((f"segments {{}} and {{}} intersect (closer than {SIMPLE_TOL:g})",
+                    live[rows], i[pair], j[pair]))
     return out
 
 

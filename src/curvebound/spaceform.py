@@ -273,30 +273,33 @@ def _interp_can(kind: Kind, a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
     return _renorm(kind, out)
 
 
-def _angle_can(kind: Kind, p, u, v) -> np.ndarray:
-    """Angle at p of the geodesic triangle (p, u, v), canonical coords.
+def _tangents_can(kind: Kind, p, x) -> np.ndarray:
+    """Unit tangent at p towards x, canonical coords; p and x broadcast.
 
-    The tangent at p towards x is the part of d = x - p orthogonal to p:
-    d - <d,p> p on the sphere, d + <d,p>_M p on the hyperboloid, d in R^n.
-    Its length is the sine, hyperbolic sine or length of the side, and
-    <d,p> < -1 puts x in the hemisphere opposite p.
+    The tangent is the part of d = x - p orthogonal to p: d - <d,p> p on the
+    sphere, d + <d,p>_M p on the hyperboloid, d in R^n.  Its length is the
+    sine, hyperbolic sine or length of the side, and <d,p> < -1 puts x in the
+    hemisphere opposite p.  A side shorter than 1e-12 raises GeometryError.
     """
-    tangents = []
-    for x in (u, v):
-        t = x - p
-        if kind is Kind.SPHERE:
-            c = np.einsum("...i,...i->...", t, p)
-            t = t - c[..., None] * p
-        elif kind is Kind.HYPERBOLIC:
-            t = t + _mink_dot(t, p)[..., None] * p
-        tn = _norm(kind, t)
-        short = tn < 1e-12
-        if kind is Kind.SPHERE and np.any(short & (c < -1.0)):
-            raise GeometryError("spherical vertex angle needs side lengths < pi")
-        if np.any(short):
-            raise GeometryError("vertex angle undefined: a side has zero length")
-        tangents.append(t / tn[..., None])
-    return _half_angle(*tangents, kind)
+    t = x - p
+    if kind is Kind.SPHERE:
+        c = np.einsum("...i,...i->...", t, p)
+        t = t - c[..., None] * p
+    elif kind is Kind.HYPERBOLIC:
+        t = t + _mink_dot(t, p)[..., None] * p
+    tn = _norm(kind, t)
+    short = tn < 1e-12
+    if kind is Kind.SPHERE and np.any(short & (c < -1.0)):
+        raise GeometryError("spherical vertex angle needs side lengths < pi")
+    if np.any(short):
+        raise GeometryError("vertex angle undefined: a side has zero length")
+    return t / tn[..., None]
+
+
+def _angle_can(kind: Kind, p, u, v) -> np.ndarray:
+    """Angle at p of the geodesic triangle (p, u, v), canonical coords: the
+    half-angle of the unit tangents at p towards u and v."""
+    return _half_angle(_tangents_can(kind, p, u), _tangents_can(kind, p, v), kind)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,10 @@ from curvebound import (
 )
 from curvebound import cone
 from curvebound.polycurve import _segment_distances
-from curvebound.spaceform import dist_arrays, embed
+from curvebound.spaceform import _renorm, dist_arrays, embed
 
 from cap_subsets import subset_min_enclosing_ball
+from kernel_oracles import cone_angles
 from conftest import (
     curved_frame,
     euclidean_curve,
@@ -397,6 +398,43 @@ def test_density_kernel_batch_matches_per_apex(space, closed, rng):
             rep = density_report(space, apexes[i], curve)
             assert (rep.angle, rep.case, rep.bound_applied) == (
                 angle[i], cone._CASES[case[i]], bound)
+
+
+def nudge(space, x, eps, rng) -> np.ndarray:
+    """x moved by about eps in a random tangent direction, model coords."""
+    xc = embed(space, x)
+    w = rng.standard_normal(xc.shape)
+    if space.kind is Kind.SPHERE:
+        w -= (w @ xc) * xc
+    elif space.kind is Kind.HYPERBOLIC:
+        w += (w[1:] @ xc[1:] - w[0] * xc[0]) * xc
+    return unembed(space, _renorm(space.kind, xc + eps * w / np.linalg.norm(w)))
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("space", FIVE_MODELS, ids=FIVE_IDS)
+def test_off_curve_angles_match_the_per_segment_sum(space, closed, rng):
+    """The tangents towards the vertices, formed once and paired by segment,
+    give the bits of the per-segment vertex angle sum: hull samples, apexes
+    1e-10 to 1e-8 from a vertex or an edge (all taken as off the curve), and
+    a NaN apex.  An apex at a vertex raises the same error in both."""
+    for k in (5, 9):
+        verts = model_polygon(space, rng, k)
+        curve = PolygonalCurve(space, verts, closed=closed)
+        near = [nudge(space, x, 10.0 ** rng.uniform(-10, -8), rng)
+                for x in [*verts, *(geodesic_point(space, verts[i], verts[i + 1], rng.uniform()).coords
+                                    for i in range(k - 1))]]
+        apexes = np.concatenate([hull_sample(space, verts, 50, rng=1), near,
+                                 np.full((1, space.ambient_dim), np.nan)])
+        off, nowhere = np.zeros(len(apexes), dtype=int), np.full(len(apexes), -1)
+        with np.errstate(invalid="ignore"):
+            got = cone._angles(space, apexes, curve, off, nowhere)
+            assert np.array_equal(got, cone_angles(space, apexes, curve), equal_nan=True)
+        assert np.isnan(got[-1]) and not np.isnan(got[:-1]).any()
+        for angles in (lambda x: cone._angles(space, x, curve, off[:1], nowhere[:1]),
+                       lambda x: cone_angles(space, x, curve)):
+            with pytest.raises(GeometryError, match="a side has zero length"):
+                angles(verts[2:3])
 
 
 def test_density_report_tol_decides_on_or_off_curve():

@@ -21,7 +21,11 @@ microseconds, and the tracemalloc peak of one more call, in MB.
 
 ``cone.hull_sample`` draws HULL_SAMPLES hull samples of each pentagon, with
 the Dirichlet draw ``certify_embedded`` makes, timed like the pentagon layers
-per call and per sample.
+per call and per sample.  The density kernel's two steps run on those
+samples: ``cone._locate`` (case detection) and ``cone._angles`` (cone angles
+in the detected cases), per call and per apex.  ``cone.certify_embedded`` on
+each pentagon, with its default HULL_SAMPLES samples, is timed per call like
+the masks.
 
 ``cone.min_enclosing_ball`` is timed on the S^3 pentagon like the pentagon
 layers, and on random caps of CAP_RADIUS in S^3 with CAP_KS vertices: per
@@ -42,7 +46,8 @@ import tracemalloc
 import numpy as np
 
 from curvebound import Model, PolygonalCurve, SpaceForm, embed, project, simple_mask_euclidean, validate
-from curvebound.cone import hull_sample, min_enclosing_ball
+from curvebound.cone import (ON_CURVE_TOL, _angles, _locate, certify_embedded, hull_sample,
+                             min_enclosing_ball)
 from curvebound.polycurve import _nonadjacent_pairs, _segments, _segseg_can
 
 CALLS = 200  # calls per timed round
@@ -147,6 +152,16 @@ def main() -> int:
         layers[f"cone.hull_sample.{name}"] = {"per_call": round(per_call, 2),
                                               "per_sample": round(per_call / HULL_SAMPLES, 4),
                                               "samples": HULL_SAMPLES}
+        x = hull_sample(curve.space, curve.vertices, HULL_SAMPLES)
+        case, index = _locate(curve.space, x, curve, ON_CURVE_TOL)
+        for layer, fn in (("cone._locate", lambda: _locate(curve.space, x, curve, ON_CURVE_TOL)),
+                          ("cone._angles", lambda: _angles(curve.space, x, curve, case, index))):
+            per_call = best_mean_us(fn)
+            layers[f"{layer}.{name}"] = {"per_call": round(per_call, 2),
+                                         "per_apex": round(per_call / HULL_SAMPLES, 4),
+                                         "apexes": HULL_SAMPLES}
+        per_call = best_mean_us(lambda: certify_embedded(curve.space, curve), CALLS // MASK_SHARE)
+        layers[f"cone.certify_embedded.{name}"] = {"per_call": round(per_call, 1)}
     rng = np.random.default_rng(0)
     for shape in MASK_SHAPES:
         batch = rng.standard_normal(shape)
