@@ -13,16 +13,22 @@ from functools import partial
 
 import numpy as np
 
-from .errors import GeometryError, ModelMismatchError, NonUniqueGeodesicError
+from .errors import GeometryError, ModelMismatchError
 from .spaceform import (
+    _CURVATURE,
     ANTIPODAL_TOL,
     Isometry,
     Kind,
     Point,
     SpaceForm,
+    _along,
     _dist_can,
+    _frame_can,
     _half_angle,
-    _mink_dot,
+    _inner,
+    _mid_frame,
+    _norm,
+    _recentre,
     dist_arrays,
     embed,
     vertex_angle_arrays,
@@ -109,7 +115,7 @@ class SphericalPolygon:
     def __post_init__(self):
         self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=float))
         norms = np.linalg.norm(self.vertices, axis=-1)
-        if np.any(np.abs(norms - 1.0) > 1e-6):
+        if not np.all(np.abs(norms - 1.0) <= 1e-6):  # a NaN norm fails too
             raise GeometryError("spherical polygon vertices must be unit vectors")
 
 
@@ -125,8 +131,17 @@ class SimplicityReport:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis, summed coordinate by coordinate: the
-    value of np.sum(x * y, axis=-1) without its slow reduction of a short axis."""
+    """Dot products over the last axis, summed coordinate by coordinate, for
+    the Euclidean pair kernel (_seg_terms, _segseg_euclid) only.
+
+    On that kernel's operands, whole-batch (B, pairs, 3) slices, the loop is
+    faster than spaceform._inner's einsum: with einsum here,
+    simple_mask_euclidean ran 4-8 % slower on the sweep benchmark's chunk
+    shapes.  The loop would not do for _inner: on pentagon arrays such as
+    (1, 5, 4) its per-coordinate operations cost more than one einsum, and
+    validate ran 49 % slower on S^3 and 20 % on H^3 (tools/layer_times.py
+    pentagons, least of 3 interleaved rounds, 2-core x86-64 VM).
+    """
     out = x[..., 0] * y[..., 0]
     for n in range(1, x.shape[-1]):
         out += x[..., n] * y[..., n]
@@ -164,47 +179,9 @@ def _segseg_euclid(p1, d1, a, p2, d2, e) -> np.ndarray:
 def _point_seg_euclid(p, a, b) -> np.ndarray:
     p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
     d = b - a
-    den = np.sum(d * d, axis=-1)
-    t = np.clip(np.sum((p - a) * d, axis=-1) / np.where(den > 1e-30, den, 1.0), 0.0, 1.0)
-    return np.linalg.norm(a + t[..., None] * d - p, axis=-1)
-
-
-# Curved segments run in canonical coords.  With <.,.> the Euclidean product
-# on the sphere and the Minkowski product on the hyperboloid, every point a has
-# <a, a> = K, the curvature (+1 or -1), and the segment [a, b] of length L is
-# cos(s) a + sin(s) u (sphere) or cosh(s) a + sinh(s) u (hyperboloid), s in
-# [0, L], for the unit tangent u at a towards b.
-
-
-_CURVATURE = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}
-
-
-def _inner(kind: Kind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if kind is Kind.SPHERE:
-        return np.sum(a * b, axis=-1)
-    return _mink_dot(a, b)
-
-
-def _frame_can(kind: Kind, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit tangent u at a towards b and length L of each segment [a, b].
-
-    A segment of length 0 gets u = 0, which still gives the right distances.
-    """
-    ell = _dist_can(kind, a, b)
-    if kind is Kind.SPHERE and np.any(np.pi - ell < ANTIPODAL_TOL):
-        raise NonUniqueGeodesicError("geodesic between near-antipodal points is not unique")
-    d = b - a
-    # b - <a, b> a / K, formed from d = b - a so short segments keep their digits
-    w = d + (0.5 * _CURVATURE[kind] * _inner(kind, d, d))[..., None] * a
-    nw = np.sqrt(np.maximum(_inner(kind, w, w), 0.0))
-    return w / np.where(nw > 0.0, nw, 1.0)[..., None], ell
-
-
-def _along(kind: Kind, a: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
-    s = s[..., None]
-    if kind is Kind.SPHERE:
-        return np.cos(s) * a + np.sin(s) * u
-    return np.cosh(s) * a + np.sinh(s) * u
+    den = _inner(Kind.EUCLIDEAN, d, d)
+    t = np.clip(_inner(Kind.EUCLIDEAN, p - a, d) / np.where(den > 1e-30, den, 1.0), 0.0, 1.0)
+    return _norm(Kind.EUCLIDEAN, a + t[..., None] * d - p)
 
 
 def _foot_can(kind: Kind, p, a, u, ell) -> tuple[np.ndarray, np.ndarray]:
@@ -222,14 +199,18 @@ def _foot_can(kind: Kind, p, a, u, ell) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(p, dtype=float)
     x = _CURVATURE[kind] * _inner(kind, p, a)
     y = _inner(kind, p, u)
-    n = p - x[..., None] * a - y[..., None] * u
+    n = x[..., None] * a
+    # in place, so that no more than two (..., m) temporaries are live: with
+    # three, 1 000 apexes made glibc trim and re-fault 85 pages on every call
+    np.subtract(p, n, out=n)
+    n -= y[..., None] * u
     if kind is Kind.SPHERE:
         theta = np.arctan2(y, x)
         inside = (theta >= 0.0) & (theta <= ell)
-        foot = np.arctan2(np.linalg.norm(n, axis=-1), np.hypot(x, y))
+        foot = np.arctan2(_norm(kind, n), np.hypot(x, y))
     else:
         inside = (y >= 0.0) & (y <= x * np.tanh(ell))
-        foot = np.arcsinh(np.sqrt(np.maximum(_mink_dot(n, n), 0.0)))
+        foot = np.arcsinh(_norm(kind, n))
     return inside, foot
 
 
@@ -241,37 +222,6 @@ def _point_seg_can(kind: Kind, p, a, b) -> np.ndarray:
         return _point_seg_euclid(p, a, b)
     inside, foot = _foot_can(kind, p, a, *_frame_can(kind, a, b))
     return np.where(inside, foot, np.minimum(_dist_can(kind, p, a), _dist_can(kind, p, b)))
-
-
-def _recentre(a0, a1, b0, b1) -> tuple[np.ndarray, ...]:
-    """The four hyperboloid points moved by the boost that takes the midpoint
-    of [a0, a1] to (1, 0, ..., 0).
-
-    Far from the origin hyperboloid coordinates are large and the products
-    that project onto a geodesic plane cancel their leading digits; after the
-    boost the pair sits around the origin.  With w the spatial part of the
-    midpoint and c0 = sqrt(1 + |w|^2) the boost is
-    x -> (c0 x0 - <w, x'>, x' - (x0 - <w, x'> / (1 + c0)) w), and each image is
-    scaled back onto the hyperboloid.
-    """
-    mid = a0 + a1
-    w = mid[..., 1:] / np.sqrt(-_mink_dot(mid, mid))[..., None]
-    c0 = np.sqrt(1.0 + np.sum(w * w, axis=-1, keepdims=True))
-    moved = []
-    for x in (a0, a1, b0, b1):
-        x0, wx = x[..., :1], np.sum(w * x[..., 1:], axis=-1, keepdims=True)
-        y = np.concatenate([c0 * x0 - wx, x[..., 1:] - (x0 - wx / (1.0 + c0)) * w], axis=-1)
-        moved.append(y / np.sqrt(-_mink_dot(y, y))[..., None])
-    return tuple(moved)
-
-
-def _mid_frame(kind: Kind, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Midpoint c of the segment [a, b], unit tangent u at c towards b and
-    half-length h: the segment is cos(s) c + sin(s) u (sphere) or
-    cosh(s) c + sinh(s) u (hyperboloid) for s in [-h, h]."""
-    c = a + b
-    c = c / np.sqrt(_CURVATURE[kind] * _inner(kind, c, c))[..., None]
-    return (c, *_frame_can(kind, c, b))
 
 
 def _closest_on_b(kind: Kind, a, u, ha, b, v, hb) -> np.ndarray:
@@ -544,7 +494,7 @@ def tangent_indicatrix(curve: PolygonalCurve) -> SphericalPolygon:
         raise GeometryError("tangent indicatrix needs a closed curve")
     start, end = _segments(curve.vertices, True)
     diffs = end - start
-    norms = np.linalg.norm(diffs, axis=-1, keepdims=True)
+    norms = _norm(Kind.EUCLIDEAN, diffs)[..., None]
     if np.any(norms < 1e-14):
         raise GeometryError("zero-length segment")
     return SphericalPolygon(diffs / norms, closed=True)
@@ -559,5 +509,5 @@ def indicatrix_length_batch(vertices: np.ndarray) -> np.ndarray:
     """Spherical length of the tangent indicatrix for a batch (B, k, d)."""
     start, end = _segments(np.asarray(vertices, dtype=float), True)
     diffs = end - start
-    t = diffs / np.sqrt(np.einsum("...i,...i->...", diffs, diffs))[..., None]
+    t = diffs / _norm(Kind.EUCLIDEAN, diffs)[..., None]
     return np.sum(_half_angle(*_segments(t, True)), axis=-1)

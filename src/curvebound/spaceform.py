@@ -204,16 +204,26 @@ def convert(p: Point, target: Model) -> Point:
 # metric primitives on canonical coords
 # ---------------------------------------------------------------------------
 
+# With <.,.> the Euclidean product on R^n and S^n and the Minkowski product on
+# the hyperboloid, every point a of S^n or H^n has <a, a> = K, the curvature
+# (+1 or -1), and the segment [a, b] of length L is cos(s) a + sin(s) u
+# (sphere) or cosh(s) a + sinh(s) u (hyperboloid), s in [0, L], for the unit
+# tangent u at a towards b.
+_CURVATURE = {Kind.SPHERE: 1.0, Kind.HYPERBOLIC: -1.0}
 
-def _mink_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("...i,...i->...", a[..., 1:], b[..., 1:]) - a[..., 0] * b[..., 0]
+
+def _inner(kind: Kind, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """<x, y> over the last axis: Minkowski on the hyperboloid, else Euclidean."""
+    if kind is Kind.HYPERBOLIC:
+        return np.einsum("...i,...i->...", x[..., 1:], y[..., 1:]) - x[..., 0] * y[..., 0]
+    return np.einsum("...i,...i->...", x, y)
 
 
 def _norm(kind: Kind, x: np.ndarray) -> np.ndarray:
-    """|x| in the ambient product: Minkowski for hyperboloid tangents, else Euclidean."""
+    """|x| = sqrt <x, x>; on the hyperboloid a timelike x reads 0."""
     if kind is Kind.HYPERBOLIC:
-        return np.sqrt(np.maximum(_mink_dot(x, x), 0.0))
-    return np.sqrt(np.einsum("...i,...i->...", x, x))
+        return np.sqrt(np.maximum(_inner(kind, x, x), 0.0))
+    return np.sqrt(_inner(kind, x, x))
 
 
 def _half_angle(x: np.ndarray, y: np.ndarray, kind: Kind = Kind.EUCLIDEAN) -> np.ndarray:
@@ -233,9 +243,9 @@ def _dist_can(kind: Kind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # cosh d = 1 + <a-b, a-b>_M / 2, so d = 2 arcsinh(|a-b|_M / 2): stable
     # at small separations where arccosh(-<a,b>_M) cancels; the difference
     # vector turns nearly null at large separations, so switch forms there
-    t = np.maximum(-_mink_dot(a, b), 1.0)
+    t = np.maximum(-_inner(kind, a, b), 1.0)
     diff = a - b
-    s = np.maximum(_mink_dot(diff, diff), 0.0)
+    s = np.maximum(_inner(kind, diff, diff), 0.0)
     return np.where(t < 2.0, 2.0 * np.arcsinh(0.5 * np.sqrt(s)), np.arccosh(t))
 
 
@@ -245,61 +255,96 @@ def _renorm(kind: Kind, y: np.ndarray) -> np.ndarray:
     if kind is Kind.EUCLIDEAN:
         return y
     if kind is Kind.SPHERE:
-        r = np.linalg.norm(y, axis=-1, keepdims=True)
+        r = _norm(kind, y)[..., None]
         if np.any(r < ANTIPODAL_TOL):
             raise GeometryError("an ambient vector near 0 names no point of the sphere")
         return y / r
-    q = y[..., 0] ** 2 - np.sum(y[..., 1:] ** 2, axis=-1)
+    q = -_inner(kind, y, y)
     if np.any(q <= 0):
         raise NumericalError("left the hyperboloid sheet")
     return y / np.sqrt(q)[..., None]
 
 
-def _interp_can(kind: Kind, a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
-    """Geodesic interpolation in canonical coords; t broadcasts."""
-    t = np.asarray(t, dtype=float)[..., None]
+def _tangent(kind: Kind, p, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Tangent at p towards x, canonical coords; p and x broadcast.
+
+    For d = x - p it returns the part of d orthogonal to p, w = d - K <d,p> p
+    (w = d in R^n), its length |w| and <d,p> (None in R^n).  |w| is the sine,
+    hyperbolic sine or length of the side, and <d,p> < -1 puts x in the
+    hemisphere opposite p.  The projection is taken against p itself, so w
+    stays tangent at p when p is off the model by rounding.
+    """
+    d = x - p
     if kind is Kind.EUCLIDEAN:
-        return (1.0 - t) * a + t * b
-    d = _dist_can(kind, a, b)[..., None]
-    if kind is Kind.SPHERE and np.any(np.pi - d < ANTIPODAL_TOL):
-        raise NonUniqueGeodesicError("geodesic between near-antipodal points is not unique")
-    sin = np.sin if kind is Kind.SPHERE else np.sinh
-    small = d < 1e-9
-    safe = np.where(small, 1.0, sin(d))
-    out = (sin((1.0 - t) * d) * a + sin(t * d) * b) / safe
-    if np.any(small):
-        lin = (1.0 - t) * a + t * b
-        out = np.where(small, lin, out)
-    return _renorm(kind, out)
+        return d, _norm(kind, d), None
+    c = _inner(kind, d, p)
+    w = d - c[..., None] * p if kind is Kind.SPHERE else d + c[..., None] * p
+    return w, _norm(kind, w), c
 
 
 def _tangents_can(kind: Kind, p, x) -> np.ndarray:
     """Unit tangent at p towards x, canonical coords; p and x broadcast.
-
-    The tangent is the part of d = x - p orthogonal to p: d - <d,p> p on the
-    sphere, d + <d,p>_M p on the hyperboloid, d in R^n.  Its length is the
-    sine, hyperbolic sine or length of the side, and <d,p> < -1 puts x in the
-    hemisphere opposite p.  A side shorter than 1e-12 raises GeometryError.
-    """
-    t = x - p
-    if kind is Kind.SPHERE:
-        c = np.einsum("...i,...i->...", t, p)
-        t = t - c[..., None] * p
-    elif kind is Kind.HYPERBOLIC:
-        t = t + _mink_dot(t, p)[..., None] * p
-    tn = _norm(kind, t)
-    short = tn < 1e-12
+    A side shorter than 1e-12 raises GeometryError."""
+    w, wn, c = _tangent(kind, p, x)
+    short = wn < 1e-12
     if kind is Kind.SPHERE and np.any(short & (c < -1.0)):
         raise GeometryError("spherical vertex angle needs side lengths < pi")
     if np.any(short):
         raise GeometryError("vertex angle undefined: a side has zero length")
-    return t / tn[..., None]
+    return w / wn[..., None]
 
 
 def _angle_can(kind: Kind, p, u, v) -> np.ndarray:
     """Angle at p of the geodesic triangle (p, u, v), canonical coords: the
     half-angle of the unit tangents at p towards u and v."""
     return _half_angle(_tangents_can(kind, p, u), _tangents_can(kind, p, v), kind)
+
+
+def _frame_can(kind: Kind, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit tangent u at a towards b and length L of each segment [a, b].
+
+    A segment of length 0 gets u = 0, which still gives the right distances.
+    """
+    ell = _dist_can(kind, a, b)
+    if kind is Kind.SPHERE and np.any(np.pi - ell < ANTIPODAL_TOL):
+        raise NonUniqueGeodesicError("geodesic between near-antipodal points is not unique")
+    w, wn, _ = _tangent(kind, a, b)
+    return w / np.where(wn > 0.0, wn, 1.0)[..., None], ell
+
+
+def _along(kind: Kind, a: np.ndarray, u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The point at arc length s from a along the unit tangent u; S^n and H^n."""
+    s = s[..., None]
+    if kind is Kind.SPHERE:
+        return np.cos(s) * a + np.sin(s) * u
+    return np.cosh(s) * a + np.sinh(s) * u
+
+
+def _mid_frame(kind: Kind, a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Midpoint c of the segment [a, b], unit tangent u at c towards b and
+    half-length h: the segment is cos(s) c + sin(s) u (sphere) or
+    cosh(s) c + sinh(s) u (hyperboloid) for s in [-h, h]."""
+    c = _renorm(kind, a + b)
+    return (c, *_frame_can(kind, c, b))
+
+
+def _recentre(a0, a1, b0, b1) -> tuple[np.ndarray, ...]:
+    """The four hyperboloid points moved by the boost that takes the midpoint
+    of [a0, a1] to (1, 0, ..., 0).
+
+    Far from the origin hyperboloid coordinates are large and the products
+    that project onto a geodesic plane cancel their leading digits; after the
+    boost the pair sits around the origin.  With w the spatial part of the
+    midpoint and c0 = sqrt(1 + |w|^2) the boost is
+    x -> (c0 x0 - <w, x'>, x' - (x0 - <w, x'> / (1 + c0)) w), and each image is
+    scaled back onto the hyperboloid.
+    """
+    w = _renorm(Kind.HYPERBOLIC, a0 + a1)[..., 1:]
+    c0 = np.sqrt(1.0 + _inner(Kind.EUCLIDEAN, w, w))[..., None]
+    x = np.stack(np.broadcast_arrays(a0, a1, b0, b1))
+    x0, wx = x[..., :1], _inner(Kind.EUCLIDEAN, w, x[..., 1:])[..., None]
+    y = np.concatenate([c0 * x0 - wx, x[..., 1:] - (x0 - wx / (1.0 + c0)) * w], axis=-1)
+    return tuple(_renorm(Kind.HYPERBOLIC, y))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +357,13 @@ def dist_arrays(space: SpaceForm, a, b) -> np.ndarray:
 
 
 def geodesic_arrays(space: SpaceForm, a, b, t) -> np.ndarray:
-    out = _interp_can(space.kind, embed(space, a), embed(space, b), t)
-    return unembed(space, out)
+    """The point at parameter t of the geodesic from a (t=0) to b (t=1); t
+    broadcasts against the batch axes."""
+    a, b, t = embed(space, a), embed(space, b), np.asarray(t, dtype=float)
+    if space.kind is Kind.EUCLIDEAN:
+        return a + t[..., None] * (b - a)
+    u, ell = _frame_can(space.kind, a, b)
+    return unembed(space, _along(space.kind, a, u, t * ell))
 
 
 def vertex_angle_arrays(space: SpaceForm, p, u, v) -> np.ndarray:
@@ -433,20 +483,13 @@ def reflection_swapping(space: SpaceForm, p, q) -> Isometry:
     b = embed(space, _coerce(space, q))
     n = a.shape[-1]
     w = a - b
+    ww = float(_inner(space.kind, w, w))
+    if abs(ww) < 1e-28:
+        return Isometry(space, np.eye(n))
+    j = np.ones(n)  # w * j is the covector <w, .>
     if space.kind is Kind.HYPERBOLIC:
-        ww = float(_mink_dot(w, w))
-        if abs(ww) < 1e-28:
-            return Isometry(space, np.eye(n))
-        j = np.ones(n)
         j[0] = -1.0
-        m = np.eye(n) - 2.0 * np.outer(w, w * j) / ww
-        return Isometry(space, m)
-    ww = float(np.dot(w, w))
-    if ww < 1e-28:
-        return Isometry(space, np.eye(n)) if space.kind is Kind.SPHERE else Isometry(
-            space, np.eye(n), np.zeros(n)
-        )
-    m = np.eye(n) - 2.0 * np.outer(w, w) / ww
+    m = np.eye(n) - 2.0 * np.outer(w, w * j) / ww
     if space.kind is Kind.EUCLIDEAN:
         # reflect across the perpendicular bisector of [p, q]
         mid = 0.5 * (a + b)

@@ -8,6 +8,9 @@ frame twice and each endpoint-endpoint distance twice.  ``cone_angles`` sums
 ``vertex_angle_arrays`` segment by segment, so it forms each tangent at the
 apex twice.  They make the same floating-point operations on the same
 operands as the kernels, so the two agree bit for bit.
+
+``interp`` is the other way round: an independent sampler of a segment's
+points, by sine weights, for the dense-sampling brackets.
 """
 
 from __future__ import annotations
@@ -15,19 +18,26 @@ from __future__ import annotations
 import numpy as np
 
 from curvebound import Kind
+from curvebound.errors import NonUniqueGeodesicError
 from curvebound.polycurve import (
-    _CURVATURE,
     _closest_on_b,
-    _frame_can,
-    _inner,
-    _mid_frame,
     _point_seg_euclid,
-    _recentre,
     _seg_terms,
     _segments,
     _segseg_euclid,
 )
-from curvebound.spaceform import _dist_can, _mink_dot, vertex_angle_arrays
+from curvebound.spaceform import (
+    _CURVATURE,
+    ANTIPODAL_TOL,
+    _dist_can,
+    _frame_can,
+    _inner,
+    _mid_frame,
+    _norm,
+    _recentre,
+    _renorm,
+    vertex_angle_arrays,
+)
 
 
 def point_seg(kind: Kind, p, a, b) -> np.ndarray:
@@ -42,10 +52,10 @@ def point_seg(kind: Kind, p, a, b) -> np.ndarray:
     if kind is Kind.SPHERE:
         theta = np.arctan2(y, x)
         inside = (theta >= 0.0) & (theta <= ell)
-        foot = np.arctan2(np.linalg.norm(n, axis=-1), np.hypot(x, y))
+        foot = np.arctan2(_norm(kind, n), np.hypot(x, y))
     else:
         inside = (y >= 0.0) & (y <= x * np.tanh(ell))
-        foot = np.arcsinh(np.sqrt(np.maximum(_mink_dot(n, n), 0.0)))
+        foot = np.arcsinh(_norm(kind, n))
     ends = np.minimum(_dist_can(kind, p, a), _dist_can(kind, p, b))
     return np.where(inside, foot, ends)
 
@@ -69,3 +79,23 @@ def cone_angles(space, x: np.ndarray, curve) -> np.ndarray:
     segment adds its apex angle."""
     starts, ends = _segments(curve.vertices, curve.closed)
     return np.sum(vertex_angle_arrays(space, x[:, None, :], starts, ends), axis=-1)
+
+
+def interp(kind: Kind, a, b, t) -> np.ndarray:
+    """Geodesic interpolation in canonical coords by sine weights, t
+    broadcasting: a second formula for the points of a segment, apart from
+    the frame and arc length that spaceform.geodesic_arrays walks."""
+    t = np.asarray(t, dtype=float)[..., None]
+    if kind is Kind.EUCLIDEAN:
+        return (1.0 - t) * a + t * b
+    d = _dist_can(kind, a, b)[..., None]
+    if kind is Kind.SPHERE and np.any(np.pi - d < ANTIPODAL_TOL):
+        raise NonUniqueGeodesicError("geodesic between near-antipodal points is not unique")
+    sin = np.sin if kind is Kind.SPHERE else np.sinh
+    small = d < 1e-9
+    safe = np.where(small, 1.0, sin(d))
+    out = (sin((1.0 - t) * d) * a + sin(t * d) * b) / safe
+    if np.any(small):
+        lin = (1.0 - t) * a + t * b
+        out = np.where(small, lin, out)
+    return _renorm(kind, out)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curvebound import (
     ConstructionError,
@@ -17,11 +19,12 @@ from curvebound import (
     knot_determinant,
     polycurve,
     project,
+    random_isometry,
     random_projection,
     validate,
 )
 
-from conftest import euclidean_curve, random_simple_polygons
+from conftest import euclidean_curve, random_simple_polygons, random_unit
 from goeritz_oracle import checkerboard_determinant
 from project_loop import loop_project
 
@@ -161,6 +164,22 @@ def test_random_pentagons_match_oracle(rng):
         oracle = checkerboard_determinant(verts, d)
         assert mod == oracle.determinant == 1
         assert oracle.n_crossings == len(project(curve, d).crossings)
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_determinant_invariant_under_isometries_and_projection_seed(seed):
+    # closed 60-step random walks of unit steps, about one in ten of them
+    # knotted; a mirror image has the same determinant
+    rng = np.random.default_rng(seed)
+    curve = euclidean_curve(np.cumsum(random_unit(rng, 60, 3), axis=0))
+    assume(validate(curve).simple)
+    det = knot_determinant(curve, rng=seed)
+    rot = random_isometry(SpaceForm.euclidean(3), rng).matrix
+    for m in (rot, rot @ np.diag([1.0, 1.0, -1.0])):
+        moved = euclidean_curve(curve.vertices @ m.T + 10.0 * rng.standard_normal(3))
+        assert knot_determinant(moved, rng=seed) == det
+    assert knot_determinant(curve, rng=seed + 1) == det
 
 
 def test_determinant_is_odd(rng):

@@ -31,7 +31,7 @@ from curvebound import (
 )
 from curvebound import determinant, polycurve, project
 from curvebound.polycurve import PAIR_BLOCK, SIMPLE_TOL, _nonadjacent_pairs
-from curvebound.spaceform import ANTIPODAL_TOL, embed
+from curvebound.spaceform import ANTIPODAL_TOL, _along, _frame_can, embed
 
 from conftest import (_ambient_inner, curved_frame, euclidean_curve, exp_can,
                       random_simple_polygons, small_plane_pentagon)
@@ -351,8 +351,8 @@ def test_segment_distances_match_point_segment_oracle(case):
     x, ts = curved_frame(kind, rng, scale, count=space.dim)
     verts = np.array(around(kind, rng, -x if space.model is Model.STEREO_BALL else x, ts,
                             rng.uniform(0.05, longest, 8)))
-    u, ell = polycurve._frame_can(kind, verts[:-1], verts[1:])
-    edges = polycurve._along(kind, verts[:-1], u, rng.uniform(0.0, 1.0, 7) * ell)
+    u, ell = _frame_can(kind, verts[:-1], verts[1:])
+    edges = _along(kind, verts[:-1], u, rng.uniform(0.0, 1.0, 7) * ell)
     near = [exp_can(kind, x, _tangent_at(kind, x, rng.standard_normal(x.size)), 10.0 ** rng.uniform(-10, -8))
             for x in [*verts, *edges]]
     apexes = np.concatenate([ends[2, :20], near, np.full((1, verts.shape[1]), np.nan)])
@@ -640,8 +640,9 @@ def test_indicatrix_requires_closed_euclidean():
 
 
 def test_spherical_polygon_requires_unit_vectors():
-    with pytest.raises(GeometryError):
-        SphericalPolygon(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    for bad in ([2.0, 0.0, 0.0], [np.nan, 0.0, 0.0]):
+        with pytest.raises(GeometryError):
+            SphericalPolygon(np.array([bad, [0.0, 1.0, 0.0]]))
 
 
 def test_spherical_length_open_polyline():

@@ -1,5 +1,6 @@
-"""Property tests of curve distances, cone angles, certify verdicts, validate
-and CLI reports in all five coordinate models.
+"""Property tests of curve distances, cone angles, total curvature, certify
+verdicts, validate and CLI reports in all five coordinate models, and of
+check_bound's slack under orthogonal maps.
 
 Inputs are drawn in the chart of each kind (Cartesian, stereographic ball,
 Poincare ball) around its base point and converted to the model under test.
@@ -35,11 +36,14 @@ from curvebound import (
     point_segment_distance,
     random_isometry,
     segment_pair_distance,
+    total_curvature,
     validate,
     vertex_angle,
 )
-from curvebound.polycurve import _segseg_can
-from curvebound.spaceform import _dist_can, _interp_can
+from curvebound.polycurve import SIMPLE_TOL, _nonadjacent_pairs, _segseg_can, _segments
+from curvebound.spaceform import _dist_can
+from curvebound.spherical_bounds import BoundVariant, check_bound
+from kernel_oracles import interp
 
 MODELS = [
     SpaceForm.euclidean(3),
@@ -188,8 +192,7 @@ def test_point_curve_distance_is_the_least_scalar_segment_distance(space, closed
 
 def dense_segment(space: SpaceForm, a, b) -> np.ndarray:
     """ORACLE_POINTS evenly spaced canonical points of the segment [a, b]."""
-    return _interp_can(space.kind, embed(space, a), embed(space, b),
-                       np.linspace(0.0, 1.0, ORACLE_POINTS))
+    return interp(space.kind, embed(space, a), embed(space, b), np.linspace(0.0, 1.0, ORACLE_POINTS))
 
 
 @pytest.mark.parametrize("space", MODELS, ids=ids)
@@ -305,6 +308,65 @@ def test_validate_flags_model_invariant(space, model, seed):
 def test_validate_messages_model_invariant(space, model, seed):
     a, b = validate_in_both_models(space, model, seed)
     assert a.violations == b.violations
+
+
+def clear_of_simple_tol(curve: PolygonalCurve) -> bool:
+    """Whether every segment length and non-adjacent segment pair distance of
+    the curve is below SIMPLE_TOL / 1000 or above 1000 SIMPLE_TOL, so that an
+    isometry's rounding cannot move it across SIMPLE_TOL."""
+    ends = _segments(embed(curve.space, curve.vertices), curve.closed)
+    d = [_segseg_can(curve.space.kind, *(x[i] for x in ends), *(x[j] for x in ends))
+         for i, j in _nonadjacent_pairs(curve.n_segments, curve.closed)]
+    d = np.concatenate([curve.segment_lengths(), *d])
+    return bool(np.all((d < 1e-3 * SIMPLE_TOL) | (d > 1e3 * SIMPLE_TOL)))
+
+
+@pytest.mark.parametrize("space", MODELS, ids=ids)
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(seed=seeds)
+def test_validate_isometry_invariant(space, seed):
+    rng = np.random.default_rng(seed)
+    verts = validate_polygon(space, rng)
+    assume(clear_of_simple_tol(PolygonalCurve(space, verts)))
+    iso = random_isometry(space, rng)
+    a = validate(PolygonalCurve(space, verts))
+    b = validate(PolygonalCurve(space, moved(space, iso, verts)))
+    assert (a.simple, a.violations) == (b.simple, b.violations)
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+@pytest.mark.parametrize("space", MODELS, ids=ids)
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(seed=seeds)
+def test_total_curvature_isometry_invariant(space, closed, seed):
+    # INVARIANCE_TOL, as for the vertex angles it sums
+    rng = np.random.default_rng(seed)
+    verts = chart_points(space, rng, int(rng.integers(3, 8)))
+    iso = random_isometry(space, rng)
+    a = total_curvature(PolygonalCurve(space, verts, closed))
+    b = total_curvature(PolygonalCurve(space, moved(space, iso, verts), closed))
+    assert abs(a - b) < INVARIANCE_TOL
+
+
+BOUND_VARIANTS = [(BoundVariant.TRIANGLE, 3), (BoundVariant.CHAIN1, 3), (BoundVariant.CHAIN2, 4),
+                  (BoundVariant.CLOSED_ODD, 5), (BoundVariant.OPEN_ODD, 7)]
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("variant, k", BOUND_VARIANTS, ids=[v.value for v, _ in BOUND_VARIANTS])
+@settings(max_examples=10, deadline=None, database=None, derandomize=True)
+@given(seed=seeds)
+def test_check_bound_slack_isometry_invariant(variant, k, dim, seed):
+    # an orthogonal map, mirrors included, moves each unit vector by rounding
+    # only, and every arc keeps full accuracy (_half_angle), so the slack
+    # moves by a few units in the last place of the length
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((k, dim))
+    pts /= np.linalg.norm(pts, axis=-1, keepdims=True)
+    q = random_isometry(SpaceForm.sphere(dim - 1), rng).matrix
+    a = check_bound(pts, variant).slack
+    b = check_bound(pts @ q.T, variant).slack
+    assert abs(a - b) <= ROUNDING
 
 
 def run_cli(argv: list[str], curve: dict) -> tuple[int, str, str]:

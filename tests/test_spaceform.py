@@ -27,7 +27,7 @@ from curvebound import (
     unembed,
     vertex_angle,
 )
-from curvebound.spaceform import dist_arrays, geodesic_arrays, vertex_angle_arrays
+from curvebound.spaceform import _frame_can, dist_arrays, geodesic_arrays, vertex_angle_arrays
 
 from conftest import curved_frame, exp_can
 
@@ -385,6 +385,59 @@ def test_vertex_angle_matches_high_precision_oracle(space):
         got = vertex_angle_arrays(space, p, u, v)
         ref = np.array([_mp_angle(space, *tri) for tri in zip(p, u, v)])
         worst = max(worst, float(np.max(np.abs(got - ref))))
+    assert worst <= 1e-14
+
+
+def _mp_frame(kind, a, b) -> np.ndarray:
+    """The unit tangent at a towards b at 50 digits, from the float canonical
+    coords a and b each scaled exactly onto the model first."""
+    with mpmath.workdps(50):
+        sign = -1 if kind is Kind.HYPERBOLIC else 1
+
+        def dot(x, y):
+            return sign * x[0] * y[0] + sum(s * t for s, t in zip(x[1:], y[1:]))
+
+        def on_model(x):
+            x = [mpmath.mpf(float(c)) for c in x]
+            r = mpmath.sqrt(sign * dot(x, x))
+            return [c / r for c in x]
+
+        pa, pb = on_model(a), on_model(b)
+        d = [y - x for x, y in zip(pa, pb)]
+        c = sign * dot(d, pa)
+        w = [s - c * t for s, t in zip(d, pa)]
+        n = mpmath.sqrt(dot(w, w))
+        return np.array([float(s / n) for s in w])
+
+
+def _short_sides(space, rng, side, count):
+    """count pairs of points about ``side`` apart, in space.model coords:
+    around random points of unit order in the canonical models and within a
+    few tenths of the chart origin in the charts."""
+    a, b = [], []
+    for _ in range(count):
+        if space.model in (Model.STEREO_BALL, Model.POINCARE_BALL):
+            p, e = 0.3 * rng.standard_normal(3) / math.sqrt(3.0), rng.standard_normal(3)
+            a.append(p)
+            b.append(p + 0.5 * side * e / np.linalg.norm(e))
+        else:
+            x, (e,) = curved_frame(space.kind, rng, 0.5, count=1)
+            a.append(x)
+            b.append(exp_can(space.kind, x, e, side))
+    return np.stack(a), np.stack(b)
+
+
+@pytest.mark.parametrize("space", ORACLE_MODELS[1:], ids=lambda s: f"{s.kind.value}-{s.model.value}")
+def test_segment_frame_matches_high_precision_oracle(space):
+    # embedded coords sit off the model by rounding; the frame's tangent must
+    # not divide that error by the side length
+    rng = np.random.default_rng(3601)
+    worst = 0.0
+    for side in (1e-3, 1e-6, 1e-9):
+        a, b = (embed(space, x) for x in _short_sides(space, rng, side, 12))
+        u, _ = _frame_can(space.kind, a, b)
+        ref = np.stack([_mp_frame(space.kind, *pair) for pair in zip(a, b)])
+        worst = max(worst, float(np.max(np.linalg.norm(u - ref, axis=-1))))
     assert worst <= 1e-14
 
 

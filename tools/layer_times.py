@@ -23,7 +23,8 @@ microseconds, and the tracemalloc peak of one more call, in MB.
 the Dirichlet draw ``certify_embedded`` makes, timed like the pentagon layers
 per call and per sample.  The density kernel's two steps run on those
 samples: ``cone._locate`` (case detection) and ``cone._angles`` (cone angles
-in the detected cases), per call and per apex.  ``cone.certify_embedded`` on
+in the detected cases), per call and per apex.  ``polycurve.point_curve_distance``
+runs on the same samples, per call and per point.  ``cone.certify_embedded`` on
 each pentagon, with its default HULL_SAMPLES samples, is timed per call like
 the masks.
 
@@ -45,7 +46,8 @@ import tracemalloc
 
 import numpy as np
 
-from curvebound import Model, PolygonalCurve, SpaceForm, embed, project, simple_mask_euclidean, validate
+from curvebound import (Model, PolygonalCurve, SpaceForm, embed, point_curve_distance, project,
+                        simple_mask_euclidean, validate)
 from curvebound.cone import (ON_CURVE_TOL, _angles, _locate, certify_embedded, hull_sample,
                              min_enclosing_ball)
 from curvebound.polycurve import _nonadjacent_pairs, _segments, _segseg_can
@@ -160,6 +162,10 @@ def main() -> int:
             layers[f"{layer}.{name}"] = {"per_call": round(per_call, 2),
                                          "per_apex": round(per_call / HULL_SAMPLES, 4),
                                          "apexes": HULL_SAMPLES}
+        per_call = best_mean_us(lambda: point_curve_distance(curve.space, x, curve))
+        layers[f"polycurve.point_curve_distance.{name}"] = {"per_call": round(per_call, 2),
+                                                            "per_point": round(per_call / HULL_SAMPLES, 4),
+                                                            "points": HULL_SAMPLES}
         per_call = best_mean_us(lambda: certify_embedded(curve.space, curve), CALLS // MASK_SHARE)
         layers[f"cone.certify_embedded.{name}"] = {"per_call": round(per_call, 1)}
     rng = np.random.default_rng(0)
